@@ -69,13 +69,13 @@ def _emit(args, payload: dict) -> None:
 
 
 def _load_transition(args):
-    bundle, history = ingest_history(args.history)
+    bundle = ingest_history(args.history)
     try:
         b_prev = bundle.chain.build(args.prev)
         b_next = bundle.chain.build(args.next)
     except KeyError as exc:
         raise ConfigurationError(str(exc.args[0]), field="build index") from None
-    return bundle, history, b_prev, b_next
+    return bundle, b_prev, b_next
 
 
 def _cmd_simulate(args) -> int:
@@ -107,7 +107,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    _, _, b_prev, b_next = _load_transition(args)
+    _, b_prev, b_next = _load_transition(args)
     window = _parse_window(args.window)
     result = scope(candidate_set(b_prev, b_next), window)
     _emit(
@@ -122,7 +122,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    bundle, _, b_prev, b_next = _load_transition(args)
+    bundle, b_prev, b_next = _load_transition(args)
     candidates = candidate_set(b_prev, b_next)
     shared_stories = sorted(b_prev.story_ids() & b_next.story_ids())
     coverage = {s: bundle.coverage.get(s, frozenset()) for s in shared_stories}
@@ -132,7 +132,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    bundle, _, b_prev, b_next = _load_transition(args)
+    bundle, b_prev, b_next = _load_transition(args)
     changed = infer_changed_classes(b_prev, b_next, bundle.graph)
     chosen = rts_select(
         b_prev,
@@ -148,7 +148,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_prioritize(args) -> int:
-    bundle, _, b_prev, b_next = _load_transition(args)
+    bundle, b_prev, b_next = _load_transition(args)
     metric = metric_by_name(args.metric)
     ctx = scenario_eval_context(bundle)(b_prev, b_next, (), ())
     schedule = rtp_prioritize(
@@ -162,7 +162,7 @@ def _cmd_prioritize(args) -> int:
 
 
 def _cmd_regall(args) -> int:
-    _, _, b_prev, b_next = _load_transition(args)
+    _, b_prev, b_next = _load_transition(args)
     report = reg_all(b_prev, b_next, _parse_window(args.window))
     _emit(
         args,
@@ -192,7 +192,7 @@ def _strategy_for(args, bundle, metric):
 
 
 def _cmd_trace_record(args) -> int:
-    bundle, _ = ingest_history(args.history)
+    bundle = ingest_history(args.history)
     metric = metric_by_name(args.metric)
     windows = _windows_arg(args, len(bundle.chain) - 1)
     strategy = _strategy_for(args, bundle, metric)
@@ -204,7 +204,7 @@ def _cmd_trace_record(args) -> int:
 
 
 def _cmd_trace_replay(args) -> int:
-    bundle, _ = ingest_history(args.history)
+    bundle = ingest_history(args.history)
     trace = load_trace(args.trace)
     steps = replay_trace(trace, bundle.chain)
     _emit(
@@ -225,7 +225,7 @@ def _cmd_trace_replay(args) -> int:
 
 
 def _cmd_trace_check(args) -> int:
-    bundle, _ = ingest_history(args.history)
+    bundle = ingest_history(args.history)
     metric = metric_by_name(args.metric)
     windows = _windows_arg(args, len(bundle.chain) - 1)
     report = check_completeness(

@@ -15,8 +15,8 @@ is canonical (sorted keys and rows), so identical models produce
 identical bytes. The schema carries no iteration or release data; an
 ingested chain gets one iteration spanning all builds (the generator
 emits the same shape, so a serialize/ingest round trip is exact). An
-execution history is derived on ingest from the recorded behavior maps:
-each consecutive pair contributes one verdict per shared test.
+execution history is derived only on request, never on ingest: each
+consecutive pair gives one verdict per shared test.
 """
 
 from __future__ import annotations
@@ -169,6 +169,12 @@ def derive_execution_history(chain: BuildChain) -> ExecutionHistory:
 
 
 def parse_history(data: dict) -> tuple[HistoryBundle, ExecutionHistory]:
+    """Validate history-schema JSON; return the bundle and its execution history."""
+    bundle = _parse_bundle(data)
+    return bundle, derive_execution_history(bundle.chain)
+
+
+def _parse_bundle(data: dict) -> HistoryBundle:
     """Validate and build model objects from history-schema JSON."""
     schema = _expect_int(data, "schema", "$")
     if schema != SCHEMA_VERSION:
@@ -285,25 +291,28 @@ def parse_history(data: dict) -> tuple[HistoryBundle, ExecutionHistory]:
             Iteration(index=1, first_build=builds[0].index, last_build=builds[-1].index),
         )
     chain = BuildChain(builds=tuple(builds), iterations=iterations)
-    bundle = HistoryBundle(
+    return HistoryBundle(
         chain=chain,
         graph=graph,
         coverage=coverage,
         faults=faults,
         fault_births=_derive_fault_births(chain, faults),
     )
-    return bundle, derive_execution_history(chain)
 
 
-def ingest_history(path: str | Path) -> tuple[HistoryBundle, ExecutionHistory]:
-    """Load and validate a history file."""
+def _read_json(path: str | Path):
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise HistoryFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def ingest_history(path: str | Path) -> HistoryBundle:
+    """Load and validate a history file."""
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise HistoryFormatError(f"{path}: top level must be an object")
-    return parse_history(data)
+    return _parse_bundle(data)
 
 
 def dump_history(bundle: HistoryBundle, path: str | Path) -> None:
@@ -422,11 +431,7 @@ def export_report(report: RunReport, fmt: str, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> RunReport:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise HistoryFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return report_from_dict(data)
+    return report_from_dict(_read_json(path))
 
 
 # --- traces ----------------------------------------------------------------
@@ -437,8 +442,4 @@ def dump_trace(trace: Trace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> Trace:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise HistoryFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return Trace.from_dict(data)
+    return Trace.from_dict(_read_json(path))

@@ -3,10 +3,10 @@
 Two cooperating steps run at every build transition:
 
 * ``ttcp`` (time-limited test-case prioritization) produces a
-  budget-feasible ordering of the candidate set. The exact engine walks
-  permutations in a deterministic order, scoring each before the time
-  check and stopping at the first feasible one; the greedy engine sorts
-  by learned priority per unit cost and truncates to the budget.
+  budget-feasible ordering of the candidate set. The exact engine
+  builds the first ordering, in priority order, among those that run
+  as many tests as the budget allows; the greedy engine sorts by
+  learned priority per unit cost and truncates to the budget.
 * ``atcs`` (adaptive test-case selection) looks at sequences executed in
   earlier cycles and picks the feasible one with the best recorded
   outcome quality, so leftover time is spent where failures showed up
@@ -20,12 +20,13 @@ kept in a bounded FIFO replay buffer that feeds ``atcs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .budget import Rtw, Schedule, feasible_prefix
 from .errors import (
     BuildOrderError,
+    ConfigurationError,
     EngineLimitError,
     IncompleteVerdictsError,
     UndefinedMetricError,
@@ -103,11 +104,11 @@ class AgentState:
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
-            raise ValueError("replay buffer capacity must be at least 1")
+            raise ConfigurationError("replay buffer capacity must be at least 1", field="capacity")
         if not 0.0 < self.decay < 1.0:
-            raise ValueError("decay must lie strictly between 0 and 1")
+            raise ConfigurationError("must lie strictly between 0 and 1", field="decay")
         if len(self.buffer) > self.capacity:
-            raise ValueError("replay buffer exceeds its capacity")
+            raise ConfigurationError("replay buffer exceeds its capacity", field="buffer")
 
     @classmethod
     def fresh(cls, **overrides: object) -> "AgentState":
@@ -134,14 +135,15 @@ def ttcp(
 ) -> Schedule:
     """Produce a budget-feasible ordering of the candidate set.
 
-    Both engines enumerate or sort in descending priority with ties by
-    id. The exact engine (guard: 7 candidates) scores each ordering with
-    the metric before checking feasibility and returns the first ordering
-    that fits; when the whole set exceeds the budget it continues with
-    shorter ordered subsets, largest cardinality first, so a feasible
-    non-empty schedule is found whenever one exists. An unbounded window
-    degenerates to the full priority ordering. A window too small for any
-    single test yields an empty schedule flagged ``budget_starved``.
+    Both engines rank by descending priority, ties by id. The exact engine
+    returns the lexicographically first ordering of ``k`` tests that fits,
+    ``k`` being the most that fit: each slot takes the first candidate
+    whose cost, plus the cheapest ``k``-completing costs ranked after it,
+    fits (O(n^2 log n), no size limit). The greedy engine ranks by priority
+    per unit cost and keeps the longest feasible prefix. No result depends
+    on ``metric`` or ``ctx``. An unbounded window gives the full priority
+    ordering; a window too small for any test gives an empty schedule
+    flagged ``budget_starved``.
     """
     base = sorted(candidates, key=lambda t: (-_priority(t.id, priorities), t.id))
     durations = {t.id: t.duration for t in base}
@@ -154,34 +156,24 @@ def ttcp(
     assert budget is not None
 
     if engine == "exact":
-        if len(base) > 7:
-            raise EngineLimitError(
-                f"{len(base)} candidates exceed the exact-ttcp guard of 7; use the greedy engine"
-            )
-        for size in range(len(base), -1, -1):
-            for ordering in permutations(base, size):
-                ids = tuple(t.id for t in ordering)
-                try:
-                    metric.evaluate(ids, ctx)  # scored before the time check
-                except UndefinedMetricError:
-                    pass
-                total = sum(durations[i] for i in ids)
-                if total <= budget:
-                    meta: dict[str, object] = {"technique": "ttcp-exact"}
-                    if not ids and base:
-                        meta["budget_starved"] = True
-                    return Schedule(ids, total, meta)
-        raise AssertionError("unreachable: the empty ordering is always feasible")
-
-    if engine != "greedy":
+        k = sum(1 for prefix in accumulate(sorted(durations.values())) if prefix <= budget)
+        ids: tuple[str, ...] = ()
+        total = 0
+        for position, t in enumerate(base):
+            if len(ids) == k:
+                break
+            rest = sorted(u.duration for u in base[position + 1 :])[: k - 1 - len(ids)]
+            if total + t.duration + sum(rest) <= budget:
+                ids += (t.id,)
+                total += t.duration
+    elif engine == "greedy":
+        by_value = sorted(
+            durations, key=lambda i: (-(_priority(i, priorities) / durations[i]), i)
+        )
+        ids, total = feasible_prefix(by_value, durations, window)
+    else:
         raise EngineLimitError(f"unknown ttcp engine {engine!r}")
-
-    by_value = sorted(
-        base,
-        key=lambda t: (-(_priority(t.id, priorities) / durations[t.id]), t.id),
-    )
-    ids, total = feasible_prefix([t.id for t in by_value], durations, window)
-    meta = {"technique": "ttcp-greedy"}
+    meta: dict[str, object] = {"technique": f"ttcp-{engine}"}
     if not ids and base:
         meta["budget_starved"] = True
     return Schedule(ids, total, meta)

@@ -5,8 +5,8 @@ transitions follow a configured mix of change kinds, with behavior
 divergences ("faults") injected alongside so outcome comparison and
 fault-detection metrics have something to find. Everything is driven by
 one seeded Mersenne-Twister generator (``random.Random``), so a config
-reproduces byte-identical results on any platform, serially or with
-scenarios running in parallel threads.
+reproduces byte-identical results on any platform. Runs share no
+mutable state, so scenarios may also run concurrently in threads.
 
 Window presets name the usual cadences (commit, nightly, sprint,
 release) as fractions of the initial suite's total duration; the exact
@@ -16,7 +16,6 @@ fractions are configuration, nothing more.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import mean
 from typing import Mapping, Sequence
@@ -509,16 +508,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return report
 
 
-def run_many(cfgs: Sequence[ScenarioConfig], parallel: bool = False) -> list[RunReport]:
-    """Run independent scenarios, optionally on a thread pool.
-
-    Scenario runs share no mutable state, so parallel execution changes
-    nothing about any report byte.
-    """
-    if not parallel:
-        return [run_scenario(cfg) for cfg in cfgs]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cfgs)))) as pool:
-        return list(pool.map(run_scenario, cfgs))
+def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
+    """Run independent scenarios one after another, in order."""
+    return [run_scenario(cfg) for cfg in cfgs]
 
 
 def stable_failure_bundle(

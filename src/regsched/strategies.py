@@ -179,24 +179,34 @@ def make_strategy(
     ``engine``, ``capacity``, ``decay``, and ``failure_reward`` and needs
     a metric; ``depgraph`` takes ``recent`` and needs a graph.
     """
+    if params is not None and not isinstance(params, Mapping):
+        raise ConfigurationError("must be a JSON object", field="params")
     params = dict(params or {})
     if name == "retest-all":
         return RetestAllStrategy()
     if name == "random-k":
         if "k" not in params:
             raise ConfigurationError("random-k needs a sample size", field="k")
-        return RandomKStrategy(k=int(params["k"]), seed=int(params.get("seed", seed)))
+        return RandomKStrategy(k=_param(params, "k", int), seed=_param(params, "seed", int, seed))
     if name == "retecs":
         if metric is None:
             raise ConfigurationError("retecs needs a quality metric", field="metric")
         state = AgentState.fresh(
-            capacity=int(params.get("capacity", 10)),
-            decay=float(params.get("decay", 0.95)),
-            failure_reward=float(params.get("failure_reward", 1.0)),
+            capacity=_param(params, "capacity", int, 10),
+            decay=_param(params, "decay", float, 0.95),
+            failure_reward=_param(params, "failure_reward", float, 1.0),
         )
         return RetecsStrategy(metric, engine=str(params.get("engine", "greedy")), state=state)
     if name == "depgraph":
         if graph is None:
             raise ConfigurationError("depgraph needs a dependency graph", field="graph")
-        return DepGraphStrategy(graph, recent=int(params.get("recent", 5)))
+        return DepGraphStrategy(graph, recent=_param(params, "recent", int, 5))
     raise ConfigurationError(f"unknown strategy {name!r}", field="strategy")
+
+
+def _param(params: Mapping[str, object], key: str, convert, default=None):
+    value = params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"expected {convert.__name__}, got {value!r}", field=key) from None

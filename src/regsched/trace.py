@@ -119,10 +119,11 @@ class Trace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trace":
+        where = "trace data"
         try:
-            rows = data["tuples"]
             records = []
-            for row in rows:
+            for position, row in enumerate(data["tuples"], start=1):
+                where = f"trace record {position}"
                 delta = row["delta_tau"]
                 records.append(
                     TraceTuple(
@@ -135,9 +136,10 @@ class Trace:
                         schedule=tuple(row["schedule"]),
                     )
                 )
-        except (KeyError, TypeError) as exc:
-            raise HistoryFormatError(f"malformed trace data: {exc}") from exc
-        return cls(tuple(records))
+            where = "trace data"
+            return cls(tuple(records))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HistoryFormatError(f"malformed {where}: {exc}") from exc
 
 
 def _default_eval_context(

@@ -8,7 +8,7 @@ tests never assert an implementation against itself.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from regsched import (
     Build,
@@ -141,3 +141,20 @@ def affected_oracle(graph: DepGraph, changed, candidates) -> frozenset[str]:
     return frozenset(
         t for t in candidates if t in graph.tests and reaches_oracle(graph, t, set(changed))
     )
+
+
+def ttcp_exact_oracle(candidates, budget, priorities=None) -> tuple[tuple[str, ...], int]:
+    """Exact ttcp by enumeration: the first feasible ordering, largest size first.
+
+    Ranks by descending priority with ties by id, then walks
+    ``permutations`` of each size from the whole set down and returns the
+    first ordering whose total duration fits ``budget``.
+    """
+    priorities = priorities or {}
+    base = sorted(candidates, key=lambda t: (-priorities.get(t.id, 0.0), t.id))
+    for size in range(len(base), -1, -1):
+        for ordering in permutations(base, size):
+            total = sum(t.duration for t in ordering)
+            if total <= budget:
+                return tuple(t.id for t in ordering), total
+    raise AssertionError("unreachable: the empty ordering always fits")

@@ -9,6 +9,7 @@ runs) or frozen after being derived that way.
 import random
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 
 from helpers import (
@@ -273,9 +274,12 @@ def test_c11_scenario_runs_are_byte_deterministic():
     )
     assert report_to_csv(first) == report_to_csv(second)
 
+    # Runs share no mutable state: scenarios run concurrently in threads
+    # report the same bytes as run_many's serial loop.
     cfgs = [ScenarioConfig(seed=s, n_builds=8, strategy="retecs") for s in range(6)]
-    serial = [dumps_canonical(report_to_dict(r)) for r in run_many(cfgs, parallel=False)]
-    threaded = [dumps_canonical(report_to_dict(r)) for r in run_many(cfgs, parallel=True)]
+    serial = [dumps_canonical(report_to_dict(r)) for r in run_many(cfgs)]
+    with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
+        threaded = [dumps_canonical(report_to_dict(r)) for r in pool.map(run_scenario, cfgs)]
     assert serial == threaded
 
 

@@ -214,6 +214,66 @@ class TestTraceCommands:
         trace = load_trace(trace_path)
         assert trace.tuples[-1].is_unbounded
 
+    @pytest.mark.parametrize(
+        "position, field, value",
+        [
+            (1, "delta_tau", "abc"),
+            (1, "schedule", ["ghost"]),
+            (2, "index", 7),
+        ],
+        ids=["delta-tau-not-a-number", "schedule-outside-snapshot", "index-out-of-order"],
+    )
+    def test_malformed_trace_replay_fails_cleanly(
+        self, history_file, tmp_path, capsys, position, field, value
+    ):
+        trace_path = tmp_path / "trace.json"
+        run_cli(
+            "trace", "record", "--history", history_file, "--strategy", "retest-all",
+            "--window", "40", "--out", trace_path,
+        )
+        data = json.loads(trace_path.read_text())
+        data["tuples"][position][field] = value
+        trace_path.write_text(json.dumps(data))
+        code = run_cli("trace", "replay", "--history", history_file, "--trace", trace_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["record", "check"])
+    @pytest.mark.parametrize(
+        "strategy, params, field",
+        [
+            ("random-k", {"k": "x"}, "k"),
+            ("random-k", {"k": 3, "seed": [1]}, "seed"),
+            ("retecs", {"capacity": 0}, "capacity"),
+            ("retecs", {"decay": "fast"}, "decay"),
+            ("retecs", {"decay": 1.5}, "decay"),
+            ("depgraph", {"recent": None}, "recent"),
+            ("retest-all", [1], "params"),
+        ],
+        ids=[
+            "k-not-an-int",
+            "seed-a-list",
+            "capacity-zero",
+            "decay-not-a-number",
+            "decay-out-of-range",
+            "recent-null",
+            "params-not-an-object",
+        ],
+    )
+    def test_wrong_typed_params_fail_cleanly(
+        self, history_file, tmp_path, capsys, verb, strategy, params, field
+    ):
+        code = run_cli(
+            "trace", verb, "--history", history_file, "--strategy", strategy,
+            "--params", json.dumps(params), "--out", tmp_path / "out.json",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
     def test_window_count_mismatch_fails(self, history_file, tmp_path, capsys):
         assert (
             run_cli(

@@ -118,8 +118,9 @@ class TestRoundTrip:
         bundle = generate_chain(ScenarioConfig(seed=4, n_builds=5))
         path = tmp_path / "history.json"
         dump_history(bundle, path)
-        loaded, _ = ingest_history(path)
+        loaded = ingest_history(path)
         assert loaded.chain == bundle.chain
+        assert loaded.faults == bundle.faults
 
     def test_serialization_is_canonical(self):
         bundle = generate_chain(ScenarioConfig(seed=6, n_builds=6))

@@ -1,11 +1,12 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build, tc, two_builds
+from helpers import build, tc, ttcp_exact_oracle, two_builds
 from regsched import (
     AgentState,
     BufferEntry,
@@ -23,7 +24,6 @@ from regsched import (
 )
 from regsched.errors import (
     BuildOrderError,
-    EngineLimitError,
     IncompleteVerdictsError,
 )
 
@@ -81,9 +81,39 @@ class TestTtcp:
         assert len(sched.ids) == 1
         assert sched.total_cost <= 5
 
-    def test_exact_guard(self):
-        with pytest.raises(EngineLimitError):
-            ttcp(suite([1] * 8), METRIC, Rtw.of_budget(3), engine="exact")
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 2)),
+            max_size=7,
+        ),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_matches_permutation_enumeration(self, rows, budget):
+        # Small priority and cost ranges force ties; setup 0 with
+        # exectime 0 gives zero-duration tests.
+        tests = [tc(f"t{i:02d}", exectime=e, setup=s) for i, (_, e, s) in enumerate(rows)]
+        priorities = {t.id: float(p) for t, (p, _, _) in zip(tests, rows)}
+        sched = ttcp(tests, METRIC, Rtw.of_budget(budget), engine="exact", priorities=priorities)
+        assert (sched.ids, sched.total_cost) == ttcp_exact_oracle(tests, budget, priorities)
+        assert sched.meta.get("budget_starved", False) == (not sched.ids and bool(tests))
+
+    def test_exact_scales_to_hundreds_of_candidates(self):
+        rng = random.Random(5)
+        tests = suite([rng.randint(1, 20) for _ in range(500)])
+        priorities = {t.id: rng.random() for t in tests}
+        budget = 1500
+        start = time.perf_counter()
+        sched = ttcp(tests, METRIC, Rtw.of_budget(budget), engine="exact", priorities=priorities)
+        elapsed = time.perf_counter() - start
+        cheapest, fits = sorted(t.duration for t in tests), 0
+        while fits < len(cheapest) and sum(cheapest[: fits + 1]) <= budget:
+            fits += 1
+        chosen = set(sched.ids)
+        assert len(chosen) == len(sched.ids) == fits
+        assert sched.total_cost == sum(t.duration for t in tests if t.id in chosen)
+        assert sched.total_cost <= budget
+        assert elapsed < 1.0
 
     def test_unbounded_window_runs_everything(self):
         tests = suite([3, 4, 5])

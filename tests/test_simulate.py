@@ -6,7 +6,6 @@ from regsched import (
     active_faults,
     classify_transition,
     generate_chain,
-    run_many,
     run_scenario,
     run_scenario_with_trace,
     stable_failure_bundle,
@@ -255,12 +254,6 @@ class TestDeterminism:
         second = run_scenario(cfg)
         assert dumps_canonical(report_to_dict(first)) == dumps_canonical(report_to_dict(second))
         assert report_to_csv(first) == report_to_csv(second)
-
-    def test_serial_and_parallel_agree(self):
-        cfgs = [ScenarioConfig(seed=s, n_builds=6, strategy="retecs") for s in range(4)]
-        serial = [dumps_canonical(report_to_dict(r)) for r in run_many(cfgs)]
-        parallel = [dumps_canonical(report_to_dict(r)) for r in run_many(cfgs, parallel=True)]
-        assert serial == parallel
 
 
 class TestStableFailureBundle:
