@@ -78,12 +78,15 @@ def _load_transition(args):
     return bundle, b_prev, b_next
 
 
-def _cmd_simulate(args) -> int:
+def _read_config(args) -> ScenarioConfig:
     raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
+    if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
-    cfg = ScenarioConfig.from_dict(raw)
-    report, trace = run_scenario_with_trace(cfg)
+    return ScenarioConfig.from_dict(raw)
+
+
+def _cmd_simulate(args) -> int:
+    report, trace = run_scenario_with_trace(_read_config(args))
     if args.trace:
         dump_trace(trace, args.trace)
     if args.format == "csv":
@@ -98,11 +101,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = ScenarioConfig.from_dict(raw)
-    dump_history(generate_chain(cfg), args.out)
+    dump_history(generate_chain(_read_config(args)), args.out)
     return 0
 
 

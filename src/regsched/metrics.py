@@ -126,7 +126,7 @@ _METRICS: dict[str, Callable[[], QualityMetric]] = {
 def metric_by_name(name: str) -> QualityMetric:
     try:
         return _METRICS[name]()
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigurationError(
             f"unknown metric {name!r}; known: {sorted(_METRICS)}", field="metric"
         ) from None

@@ -33,12 +33,11 @@ from .model import (
     TestCase,
     TransitionKind,
     UserStory,
-    candidate_set,
     classify_transition,
 )
 from .regall import reg_all
 from .strategies import make_strategy
-from .trace import Trace, record_trace, replay_trace
+from .trace import Trace, TraceTuple, run_transitions
 
 WINDOW_POLICIES = ("fixed", "list", "unbounded", "commit", "nightly", "sprint", "release")
 
@@ -57,6 +56,17 @@ DEFAULT_MIX: Mapping[TransitionKind, float] = {
     TransitionKind.TECH_DEBT: 0.15,
     TransitionKind.FEATURE_WITHOUT_TEST: 0.15,
 }
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_int(value: object, name: str) -> int:
+    """``value`` if it is an int; ``"7"``, ``7.0`` or ``True`` would seed another run."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"must be an integer, got {value!r}", field=name)
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,8 +90,9 @@ class ScenarioConfig:
     metric: str = "apfd"
 
     def __post_init__(self) -> None:
+        _require_int(self.seed, "seed")
         for name in ("n_builds", "n_tests", "n_stories", "n_classes"):
-            if getattr(self, name) < 1:
+            if _require_int(getattr(self, name), name) < 1:
                 raise ConfigurationError("must be a positive integer", field=name)
         if not self.transition_mix:
             raise ConfigurationError("must not be empty", field="transition_mix")
@@ -91,8 +102,10 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"unknown transition kind {kind!r}", field="transition_mix"
                 )
-            if weight < 0:
-                raise ConfigurationError("weights must be non-negative", field="transition_mix")
+            if not _is_number(weight) or weight < 0:
+                raise ConfigurationError(
+                    f"weights must be non-negative numbers, got {weight!r}", field="transition_mix"
+                )
             total += weight
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(
@@ -103,26 +116,30 @@ class ScenarioConfig:
                 f"unknown policy {self.window_policy!r}; known: {WINDOW_POLICIES}",
                 field="window_policy",
             )
+        if self.window_value is not None:
+            _require_int(self.window_value, "window_value")
         if self.window_policy == "fixed":
             if self.window_value is None or self.window_value < 0:
                 raise ConfigurationError(
                     "fixed policy needs a non-negative window_value", field="window_value"
+                )
+        for v in self.window_values or ():
+            if v is not None and _require_int(v, "window_values") < 0:
+                raise ConfigurationError(
+                    "window values must be non-negative or null", field="window_values"
                 )
         if self.window_policy == "list":
             if self.window_values is None or len(self.window_values) != self.n_builds - 1:
                 raise ConfigurationError(
                     "list policy needs one value per transition", field="window_values"
                 )
-            for v in self.window_values:
-                if v is not None and v < 0:
-                    raise ConfigurationError(
-                        "window values must be non-negative or null", field="window_values"
-                    )
-        if not 0.0 <= self.fault_rate <= 1.0:
+        if not _is_number(self.fault_rate) or not 0.0 <= self.fault_rate <= 1.0:
             raise ConfigurationError("must lie in [0, 1]", field="fault_rate")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
+        if not isinstance(data, Mapping):
+            raise ConfigurationError("must be a JSON object", field="config")
         known = {
             "seed", "n_builds", "n_tests", "n_stories", "n_classes",
             "transition_mix", "window_policy", "window_value", "window_values",
@@ -146,9 +163,11 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"unknown transition kind {slug!r}", field="transition_mix"
                     ) from None
-                mix[kind] = float(weight)
+                mix[kind] = float(weight) if _is_number(weight) else weight
             kwargs["transition_mix"] = mix
         if kwargs.get("window_values") is not None:
+            if not isinstance(kwargs["window_values"], list):
+                raise ConfigurationError("must be a list", field="window_values")
             kwargs["window_values"] = tuple(kwargs["window_values"])
         return cls(**kwargs)  # type: ignore[arg-type]
 
@@ -396,7 +415,7 @@ def scenario_eval_context(bundle: HistoryBundle):
     """Metric-context builder backed by the bundle's fault and coverage data."""
 
     def build_ctx(b_prev: Build, b_next: Build, executed, verdicts) -> MetricContext:
-        candidate_ids = frozenset(t.id for t in candidate_set(b_prev, b_next))
+        candidate_ids = b_prev.test_ids() & b_next.test_ids()
         shared_stories = b_prev.story_ids() & b_next.story_ids()
         coverage = {
             s: bundle.coverage.get(s, frozenset()) & candidate_ids
@@ -438,57 +457,49 @@ class RunReport:
 def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
     """Run one scenario end to end, returning the report and its trace.
 
-    The named strategy plans every transition under the window policy;
-    the run is captured as a trace and the report rows are derived by
-    replaying it, so report and trace cannot drift apart.
+    The named strategy plans every transition under the window policy.
+    Each transition runs once: its report row and its trace record come
+    from the same step, so report and trace cannot drift apart.
     """
     bundle = generate_chain(cfg)
     metric = metric_by_name(cfg.metric)
     strategy = make_strategy(
         cfg.strategy, cfg.strategy_params, graph=bundle.graph, metric=metric, seed=cfg.seed
     )
-    windows = windows_for(cfg, bundle)
-    trace = record_trace(
-        strategy, bundle.chain, windows, metric, eval_context=scenario_eval_context(bundle)
-    )
-    steps = replay_trace(trace, bundle.chain)
-
+    records: list[TraceTuple] = []
     rows: list[TransitionRow] = []
-    for position, window in enumerate(windows):
-        b_prev = bundle.chain.builds[position]
-        b_next = bundle.chain.builds[position + 1]
-        record = trace.tuples[position + 1]
-        step = steps[position + 1]
-        kind = classify_transition(b_prev, b_next)
+    detected = 0
+    for step in run_transitions(
+        strategy, bundle.chain, windows_for(cfg, bundle), metric,
+        eval_context=scenario_eval_context(bundle),
+    ):
+        b_prev, b_next, verdicts = step.b_prev, step.b_next, step.verdicts
         births = active_faults(bundle, b_next.index)
         executed = set(step.schedule.ids)
         undetected = tuple(
             sorted(f for f, detectors in births.items() if not detectors & executed)
         )
-        failed = tuple(sorted(v.test_id for v in step.verdicts if not v.consistent))
+        detected += len(births) - len(undetected)
         match: bool | None = None
-        if window.is_unbounded:
-            reference = reg_all(b_prev, b_next, window)
-            match = tuple(sorted(step.verdicts, key=lambda v: v.test_id)) == reference.verdicts
+        if step.window.is_unbounded:
+            reference = reg_all(b_prev, b_next, step.window)
+            match = tuple(sorted(verdicts, key=lambda v: v.test_id)) == reference.verdicts
+        records.append(step.record)
         rows.append(
             TransitionRow(
                 build_index=b_next.index,
-                transition=kind.value,
-                candidate_count=len(candidate_set(b_prev, b_next)),
+                transition=classify_transition(b_prev, b_next).value,
+                candidate_count=step.candidate_count,
                 schedule=step.schedule.ids,
                 total_cost=step.schedule.total_cost,
-                q_value=record.q_value,
-                failed=failed,
+                q_value=step.record.q_value,
+                failed=tuple(sorted(v.test_id for v in verdicts if not v.consistent)),
                 undetected_faults=undetected,
                 regall_match=match,
             )
         )
+    trace = Trace.of_run(bundle.chain, records)
 
-    detected = 0
-    for fault_id, born_at in bundle.fault_births.items():
-        row = next((r for r in rows if r.build_index == born_at), None)
-        if row and bundle.faults[fault_id] & set(row.schedule):
-            detected += 1
     defined_q = [r.q_value for r in rows if r.q_value is not None]
     report = RunReport(
         seed=cfg.seed,

@@ -1,13 +1,17 @@
-"""Record a scheduling strategy's run as per-build tuples, then replay it.
+"""Run a scheduling strategy once per build pair, record it, replay it.
 
 Any per-build strategy - something that receives the build's program
 version, active stories, candidate tests, and window, and emits a
 budget-feasible schedule - can be captured losslessly as one record per
 build: the program id, story ids, test ids, the window budget, the
-realized quality value, and the exact executed ordering. Replaying the
-records against the same chain reproduces the original schedules and
-verdicts bit for bit, which makes strategies comparable, auditable, and
-swappable after the fact.
+realized quality value, and the exact executed ordering.
+:func:`run_transitions` is the one place a strategy runs; each step it
+yields holds the record, the priced schedule, the verdicts and the
+candidate count, so recording and reporting share one execution.
+Replaying the records against the same chain reproduces the original
+schedules and verdicts bit for bit, and enforces the same per-build
+contract as recording: a schedule outside its candidates or over its
+``delta_tau`` is rejected.
 
 Build 1 has no predecessor, so its record carries an empty schedule, a
 zero budget, and no quality value. Records with an unbounded budget are
@@ -18,7 +22,7 @@ time-boxed pipelines can reject them as policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .budget import Rtw, Schedule
 from .errors import (
@@ -101,6 +105,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.tuples)
 
+    @classmethod
+    def of_run(cls, chain: BuildChain, records: Iterable[TraceTuple]) -> "Trace":
+        """Build 1's empty record followed by one record per transition."""
+        return cls((_snapshot(chain.builds[0]), *records) if chain.builds else ())
+
     def to_dict(self) -> dict:
         return {
             "tuples": [
@@ -125,13 +134,17 @@ class Trace:
             for position, row in enumerate(data["tuples"], start=1):
                 where = f"trace record {position}"
                 delta = row["delta_tau"]
+                if delta != "inf" and (
+                    not isinstance(delta, int) or isinstance(delta, bool) or delta < 0
+                ):
+                    raise ValueError(f"delta_tau must be an integer >= 0 or 'inf', got {delta!r}")
                 records.append(
                     TraceTuple(
                         index=row["index"],
                         program_id=row["program_id"],
                         spec_ids=tuple(row["spec_ids"]),
                         test_ids=tuple(row["test_ids"]),
-                        delta_tau=None if delta == "inf" else int(delta),
+                        delta_tau=None if delta == "inf" else delta,
                         q_value=row["q_value"],
                         schedule=tuple(row["schedule"]),
                     )
@@ -148,16 +161,86 @@ def _default_eval_context(
     return MetricContext.from_verdicts(tuple(verdicts))
 
 
-def _base_tuple(build: Build) -> TraceTuple:
+def _snapshot(build: Build, delta_tau=0, q_value=None, schedule=()) -> TraceTuple:
     return TraceTuple(
         index=build.index,
         program_id=build.program.id,
         spec_ids=tuple(sorted(build.story_ids())),
         test_ids=tuple(sorted(build.test_ids())),
-        delta_tau=0,
-        q_value=None,
-        schedule=(),
+        delta_tau=delta_tau,
+        q_value=q_value,
+        schedule=schedule,
     )
+
+
+def _contract_breach(
+    ids: Sequence[str], durations: Mapping[str, int], budget: int | None
+) -> tuple[str, str] | None:
+    """The field a schedule breaks, and why: a test outside ``durations`` or cost over budget."""
+    outside = set(ids) - durations.keys()
+    if outside:
+        return "schedule", f"schedule leaves the candidate set: {sorted(outside)}"
+    cost = sum(durations[i] for i in ids)
+    if budget is not None and cost > budget:
+        return "delta_tau", f"schedule cost {cost} exceeds window budget {budget}"
+    return None
+
+
+@dataclass(frozen=True)
+class TransitionStep:
+    """One build pair, run once: what every consumer of the run reads.
+
+    ``schedule`` is priced from the candidate durations (the cost a replay
+    of ``record`` computes), not taken from the strategy's own total.
+    """
+
+    b_prev: Build
+    b_next: Build
+    window: Rtw
+    record: TraceTuple
+    schedule: Schedule
+    verdicts: tuple[Verdict, ...]
+    candidate_count: int
+
+
+def run_transitions(
+    strategy: Strategy,
+    chain: BuildChain,
+    windows: Sequence[Rtw],
+    metric: QualityMetric,
+    *,
+    eval_context: EvalContext | None = None,
+) -> Iterator[TransitionStep]:
+    """Run a strategy over the chain, yielding one step per consecutive build pair.
+
+    ``windows`` supplies one window per pair. A strategy that emits a
+    schedule exceeding its window, or tests outside the candidate set, is
+    rejected immediately with the offending build named.
+    """
+    if len(windows) != max(len(chain) - 1, 0):
+        raise ValueError(
+            f"need one window per consecutive pair: {max(len(chain) - 1, 0)}, got {len(windows)}"
+        )
+    build_context = eval_context or _default_eval_context
+    for (b_prev, b_next), window in zip(chain.pairs(), windows):
+        candidates = ordered_candidates(b_prev, b_next)
+        durations = {t.id: t.duration for t in candidates}
+        schedule = strategy.plan(b_prev, b_next, candidates, window)
+        budget = window.budget()
+        breach = _contract_breach(schedule.ids, durations, budget)
+        if breach:
+            raise InfeasibleScheduleError(b_next.index, breach[1])
+        verdicts = run_tests(b_prev, b_next, schedule.ids)
+        ctx = build_context(b_prev, b_next, schedule.ids, verdicts)
+        try:
+            q = metric.evaluate(schedule.ids, ctx)
+        except UndefinedMetricError:
+            q = None
+        strategy.observe(b_next.index, schedule, verdicts, q)
+        yield TransitionStep(
+            b_prev, b_next, window, _snapshot(b_next, budget, q, schedule.ids),
+            Schedule.from_ids(schedule.ids, durations, **schedule.meta), verdicts, len(candidates),
+        )
 
 
 def record_trace(
@@ -170,54 +253,11 @@ def record_trace(
 ) -> Trace:
     """Run a strategy over the chain, capturing one record per build.
 
-    ``windows`` supplies one window per consecutive build pair. The
-    capture is lossless: each record stores the literal executed ordering
-    and the quality value realized for it. A strategy that emits a
-    schedule exceeding its window, or tests outside the candidate set, is
-    rejected immediately with the offending build named.
+    The capture is lossless: each record stores the literal executed
+    ordering and the quality value realized for it.
     """
-    if len(windows) != max(len(chain) - 1, 0):
-        raise ValueError(
-            f"need one window per consecutive pair: {max(len(chain) - 1, 0)}, got {len(windows)}"
-        )
-    build_context = eval_context or _default_eval_context
-    records: list[TraceTuple] = []
-    if chain.builds:
-        records.append(_base_tuple(chain.builds[0]))
-    for (b_prev, b_next), window in zip(chain.pairs(), windows):
-        candidates = ordered_candidates(b_prev, b_next)
-        durations = {t.id: t.duration for t in candidates}
-        schedule = strategy.plan(b_prev, b_next, candidates, window)
-        outside = set(schedule.ids) - set(durations)
-        if outside:
-            raise InfeasibleScheduleError(
-                b_next.index, f"schedule leaves the candidate set: {sorted(outside)}"
-            )
-        actual_cost = sum(durations[i] for i in schedule.ids)
-        budget = window.budget()
-        if budget is not None and actual_cost > budget:
-            raise InfeasibleScheduleError(
-                b_next.index, f"schedule cost {actual_cost} exceeds window budget {budget}"
-            )
-        verdicts = run_tests(b_prev, b_next, schedule.ids)
-        ctx = build_context(b_prev, b_next, schedule.ids, verdicts)
-        try:
-            q = metric.evaluate(schedule.ids, ctx)
-        except UndefinedMetricError:
-            q = None
-        strategy.observe(b_next.index, schedule, verdicts, q)
-        records.append(
-            TraceTuple(
-                index=b_next.index,
-                program_id=b_next.program.id,
-                spec_ids=tuple(sorted(b_next.story_ids())),
-                test_ids=tuple(sorted(b_next.test_ids())),
-                delta_tau=budget,
-                q_value=q,
-                schedule=schedule.ids,
-            )
-        )
-    return Trace(tuple(records))
+    steps = run_transitions(strategy, chain, windows, metric, eval_context=eval_context)
+    return Trace.of_run(chain, (step.record for step in steps))
 
 
 @dataclass(frozen=True)
@@ -230,14 +270,10 @@ class ReplayStep:
 
 
 def _check_snapshot(record: TraceTuple, build: Build) -> None:
-    if record.index != build.index:
-        raise TraceDivergenceError(build.index, "index")
-    if record.program_id != build.program.id:
-        raise TraceDivergenceError(build.index, "program_id")
-    if record.spec_ids != tuple(sorted(build.story_ids())):
-        raise TraceDivergenceError(build.index, "spec_ids")
-    if record.test_ids != tuple(sorted(build.test_ids())):
-        raise TraceDivergenceError(build.index, "test_ids")
+    expected = _snapshot(build)
+    for name in ("index", "program_id", "spec_ids", "test_ids"):
+        if getattr(record, name) != getattr(expected, name):
+            raise TraceDivergenceError(build.index, name)
 
 
 def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
@@ -245,25 +281,25 @@ def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
 
     Snapshots are validated build by build (ids only; behavior maps are
     free to differ, which is what makes replay useful for spotting
-    outcome drift). The first record replays as an empty run since build
-    1 has no predecessor.
+    outcome drift), and so is the per-build contract: a schedule outside
+    the candidates or over ``delta_tau`` raises rather than runs. The
+    first record replays as an empty run since build 1 has no predecessor.
     """
     if len(trace) != len(chain):
-        raise TraceDivergenceError(
-            min(len(trace), len(chain)) + 1, "length"
-        )
+        raise TraceDivergenceError(min(len(trace), len(chain)) + 1, "length")
     steps: list[ReplayStep] = []
-    for position, record in enumerate(trace.tuples):
-        build = chain.builds[position]
+    prev: Build | None = None
+    for record, build in zip(trace.tuples, chain.builds):
         _check_snapshot(record, build)
-        if position == 0:
-            steps.append(ReplayStep(record.index, Schedule((), 0), ()))
-            continue
-        prev = chain.builds[position - 1]
-        durations = {t.id: t.duration for t in build.tests}
+        shared = prev.test_ids() if prev else frozenset()
+        durations = {t.id: t.duration for t in build.tests if t.id in shared}
+        breach = _contract_breach(record.schedule, durations, record.delta_tau)
+        if breach:
+            raise TraceDivergenceError(build.index, breach[0])
         schedule = Schedule.from_ids(record.schedule, durations, technique="replay")
-        verdicts = run_tests(prev, build, record.schedule)
+        verdicts = run_tests(prev, build, record.schedule) if prev else ()
         steps.append(ReplayStep(record.index, schedule, verdicts))
+        prev = build
     return tuple(steps)
 
 

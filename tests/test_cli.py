@@ -73,6 +73,53 @@ class TestSimulate:
         assert run_cli("simulate", "--config", bad) == 1
         assert "fault_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"seed": "7"}, "seed"),
+            ({"seed": 7.0}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"n_builds": "5"}, "n_builds"),
+            ({"n_tests": 20.0}, "n_tests"),
+            ({"n_stories": None}, "n_stories"),
+            ({"n_classes": "8"}, "n_classes"),
+            ({"window_policy": "fixed", "window_value": 2.5}, "window_value"),
+            ({"window_policy": "list", "window_values": [10] * 6 + [2.5]}, "window_values"),
+            ({"window_policy": "list", "window_values": 10}, "window_values"),
+            ({"transition_mix": {"periodic-build": "x", "defect-fix": 0.5}}, "transition_mix"),
+            ({"fault_rate": "x"}, "fault_rate"),
+            ({"metric": []}, "metric"),
+        ],
+        ids=[
+            "seed-a-string",
+            "seed-a-float",
+            "seed-a-bool",
+            "n-builds-a-string",
+            "n-tests-a-float",
+            "n-stories-null",
+            "n-classes-a-string",
+            "window-value-a-float",
+            "window-values-entry-a-float",
+            "window-values-not-a-list",
+            "mix-weight-not-a-number",
+            "fault-rate-not-a-number",
+            "metric-not-a-string",
+        ],
+    )
+    def test_wrong_typed_config_fails_cleanly(self, config_file, capsys, changes, field):
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), **changes}))
+        code = run_cli("simulate", "--config", config_file)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
+    def test_config_not_an_object_fails_cleanly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]")
+        assert run_cli("simulate", "--config", bad, "--seed", "3") == 1
+        assert capsys.readouterr().err.startswith("error: config: ")
+
     def test_unknown_strategy_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "strategy": "psychic"}))
@@ -215,16 +262,32 @@ class TestTraceCommands:
         assert trace.tuples[-1].is_unbounded
 
     @pytest.mark.parametrize(
-        "position, field, value",
+        "position, field, value, names",
         [
-            (1, "delta_tau", "abc"),
-            (1, "schedule", ["ghost"]),
-            (2, "index", 7),
+            (1, "delta_tau", "abc", "trace record 2"),
+            (1, "delta_tau", 2.5, "trace record 2"),
+            (1, "delta_tau", "7", "trace record 2"),
+            (1, "delta_tau", True, "trace record 2"),
+            (1, "schedule", ["ghost"], "trace record 2"),
+            (2, "index", 7, "trace data"),
+            # Build 1 has no predecessor, so none of its tests is a candidate.
+            (0, "schedule", ["t001"], "build 1, field 'schedule'"),
+            # Every test of build 2 costs far more than the recorded window of 40.
+            (1, "schedule", [f"t{n:03d}" for n in range(1, 21)], "build 2, field 'delta_tau'"),
         ],
-        ids=["delta-tau-not-a-number", "schedule-outside-snapshot", "index-out-of-order"],
+        ids=[
+            "delta-tau-not-a-number",
+            "delta-tau-a-float",
+            "delta-tau-a-string",
+            "delta-tau-a-bool",
+            "schedule-outside-snapshot",
+            "index-out-of-order",
+            "schedule-outside-candidates",
+            "schedule-over-delta-tau",
+        ],
     )
     def test_malformed_trace_replay_fails_cleanly(
-        self, history_file, tmp_path, capsys, position, field, value
+        self, history_file, tmp_path, capsys, position, field, value, names
     ):
         trace_path = tmp_path / "trace.json"
         run_cli(
@@ -238,6 +301,7 @@ class TestTraceCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ")
+        assert names in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("verb", ["record", "check"])

@@ -227,6 +227,22 @@ class TestReplay:
         assert exc.value.build_index == 2
         assert exc.value.field == "test_ids"
 
+    @pytest.mark.parametrize(
+        "schedule, delta_tau, field",
+        [(("a", "x"), None, "schedule"), (("a", "b"), 9, "delta_tau")],
+        ids=["test-new-in-build-2", "cost-over-delta-tau"],
+    )
+    def test_tampered_schedule_breaks_the_contract(self, schedule, delta_tau, field):
+        chain = chain_of(
+            build(1, [tc(t) for t in ("a", "b")], program_id=1),
+            build(2, [tc(t) for t in ("a", "b", "x")], program_id=2),
+        )
+        trace = record_trace(RetestAllStrategy(), chain, [UNBOUNDED], METRIC)
+        tampered = dataclasses.replace(trace.tuples[1], schedule=schedule, delta_tau=delta_tau)
+        with pytest.raises(TraceDivergenceError) as exc:
+            replay_trace(Trace((trace.tuples[0], tampered)), chain)
+        assert (exc.value.build_index, exc.value.field) == (2, field)
+
     def test_length_mismatch_is_divergence(self):
         chain = diverging_chain(2)
         trace = record_trace(RetestAllStrategy(), chain, [UNBOUNDED], METRIC)
