@@ -58,6 +58,7 @@ from .model import (
     candidate_set,
     classify_region,
     classify_transition,
+    diverged_tests,
     make_release,
     ordered_candidates,
     transition_deltas,
@@ -66,13 +67,11 @@ from .regall import RegAllReport, Verdict, reg_all, run_tests
 from .retecs import (
     AgentState,
     BufferEntry,
-    CycleResult,
     ExecutionHistory,
     ExecutionRecord,
     agent_update,
     atcs,
     plan_schedule,
-    retecs_cycle,
     ttcp,
 )
 from .simulate import (
@@ -109,9 +108,11 @@ from .trace import (
     Strategy,
     Trace,
     TraceTuple,
+    TransitionStep,
     check_completeness,
     record_trace,
     replay_trace,
+    run_transitions,
 )
 
 __version__ = "0.1.0"

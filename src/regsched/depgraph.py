@@ -13,7 +13,7 @@ Graph values are immutable; updates build new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .budget import Rtw, Schedule, feasible_prefix
 from .errors import MalformedGraphError, UnknownNodeError
@@ -181,17 +181,16 @@ def order_by_history(
     durations: Mapping[str, int],
     *,
     recent: int = 5,
-    ranker: Callable[[str], tuple] | None = None,
 ) -> Schedule:
     """Rank selected tests by failure history and clip to the window.
 
-    Default ranking: descending :func:`failure_score`, then shorter
-    duration, then id. Pass ``ranker`` to substitute any sort key. The
-    result is the longest feasible prefix of the ranked order.
+    Ranking: descending :func:`failure_score`, then shorter duration,
+    then id. The result is the longest feasible prefix of the ranked
+    order.
     """
-    key = ranker or (
-        lambda test_id: (-failure_score(history, test_id, recent), durations[test_id], test_id)
+    ranked = sorted(
+        selected,
+        key=lambda test_id: (-failure_score(history, test_id, recent), durations[test_id], test_id),
     )
-    ranked = sorted(selected, key=key)
     ids, total = feasible_prefix(ranked, durations, window)
     return Schedule(ids, total, {"technique": "depgraph-order"})

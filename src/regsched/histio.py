@@ -2,8 +2,8 @@
 
 The history schema (``"schema": 1``) records a chain and its side data:
 
-* ``builds``    - index, program_id, ready_at, stories (id/bv/sp),
-                  tests (id/inp/expected/exectime/setup)
+* ``builds``    - index (1..n in file order), program_id, ready_at,
+                  stories (id/bv/sp), tests (id/inp/expected/exectime/setup)
 * ``behavior``  - (program_id, test_id) -> outcome token
 * ``dep_edges`` - {from, to, kind} with kind ``test`` (test -> class) or
                   ``class`` (class -> class)
@@ -37,6 +37,8 @@ from .model import (
     SpecSet,
     TestCase,
     UserStory,
+    diverged_tests,
+    ordered_candidates,
 )
 from .retecs import ExecutionHistory
 from .simulate import HistoryBundle, RunReport, TransitionRow
@@ -145,12 +147,7 @@ def _derive_fault_births(chain: BuildChain, faults: dict[str, frozenset[str]]) -
     """First build where any detecting test's outcome diverges."""
     births: dict[str, int] = {}
     for b_prev, b_next in chain.pairs():
-        shared = b_prev.test_ids() & b_next.test_ids()
-        diverged = {
-            t
-            for t in shared
-            if b_prev.program.behavior.get(t) != b_next.program.behavior.get(t)
-        }
+        diverged = diverged_tests(b_prev, b_next)
         for fid, detectors in faults.items():
             if fid not in births and detectors & diverged:
                 births[fid] = b_next.index
@@ -161,10 +158,9 @@ def derive_execution_history(chain: BuildChain) -> ExecutionHistory:
     """The per-test verdict log implied by a chain's recorded behaviors."""
     history = ExecutionHistory()
     for b_prev, b_next in chain.pairs():
-        table = b_next.test_by_id()
-        for test_id in sorted(b_prev.test_ids() & b_next.test_ids()):
-            passed = b_prev.program.execute(test_id) == b_next.program.execute(test_id)
-            history.add(test_id, b_next.index, passed, table[test_id].duration)
+        for t in ordered_candidates(b_prev, b_next):
+            passed = b_prev.program.execute(t.id) == b_next.program.execute(t.id)
+            history.add(t.id, b_next.index, passed, t.duration)
     return history
 
 
@@ -194,7 +190,9 @@ def _parse_bundle(data: dict) -> HistoryBundle:
     all_story_ids: set[str] = set()
     for n, row in enumerate(_expect_list(data, "builds", "$")):
         path = f"$.builds[{n}]"
-        index = _expect_int(row, "index", path, minimum=1)
+        index = _expect_int(row, "index", path)
+        if index != n + 1:
+            raise HistoryFormatError(f"{path}.index: build indices must run 1..n, got {index}")
         pid = _expect_int(row, "program_id", path)
         ready_at = _expect_int(row, "ready_at", path, minimum=0)
         stories = []

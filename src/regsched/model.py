@@ -3,8 +3,8 @@
 A build bundles a program version, its active user stories, and its test
 set at one point in time. Chains order builds by index and readiness
 timestamp; consecutive builds define a regression candidate set (the
-tests shared by both). All values are immutable after construction and
-safe to share across threads.
+tests shared by both, matched by id). All values are immutable after
+construction and safe to share across threads.
 
 Time is abstract: durations and timestamps are non-negative integers in
 "microunits", so budget arithmetic is exact and feasibility checks are
@@ -118,7 +118,12 @@ class ProgramVersion:
 
 @dataclass(frozen=True)
 class Build:
-    """One increment of the product: program, stories, tests, readiness time."""
+    """One increment of the product: program, stories, tests, readiness time.
+
+    Test ids are unique within a build: two tests sharing an id (say,
+    with different durations) raise :class:`MalformedBuildError` naming
+    the build and the id, so every consumer may index tests by id.
+    """
 
     index: int
     program: ProgramVersion
@@ -131,6 +136,10 @@ class Build:
             raise ValueError("build index must be a positive integer")
         if self.ready_at < 0:
             raise ValueError("ready_at must be non-negative")
+        ids = [t.id for t in self.tests]
+        if len(ids) != len(set(ids)):
+            repeated = min(i for i in ids if ids.count(i) > 1)
+            raise MalformedBuildError(f"build {self.index} has duplicate test id {repeated!r}")
 
     def test_ids(self) -> frozenset[str]:
         return frozenset(t.id for t in self.tests)
@@ -139,15 +148,7 @@ class Build:
         return self.specs.ids()
 
     def test_by_id(self) -> dict[str, TestCase]:
-        """Index tests by id, rejecting duplicates."""
-        table: dict[str, TestCase] = {}
-        for t in sorted(self.tests, key=lambda t: t.id):
-            if t.id in table:
-                raise MalformedBuildError(
-                    f"build {self.index} has duplicate test id {t.id!r}"
-                )
-            table[t.id] = t
-        return table
+        return {t.id: t for t in self.tests}
 
 
 @dataclass(frozen=True)
@@ -335,23 +336,32 @@ def classify_transition(b_prev: Build, b_next: Build) -> TransitionKind:
     raise UnclassifiableTransitionError(d)
 
 
-def candidate_set(b_prev: Build, b_next: Build) -> frozenset[TestCase]:
-    """Tests shared by two builds: the regression candidate set.
-
-    Test identity is by id only; the returned instances come from
-    ``b_next`` (the version about to run). Builds sharing no specs simply
-    yield whatever tests are shared, which is empty when the test sets
-    are disjoint; that condition is reported by the empty result, not
-    enforced as an error.
-    """
-    prev_ids = set(b_prev.test_by_id())
-    next_table = b_next.test_by_id()
-    return frozenset(next_table[i] for i in prev_ids & set(next_table))
-
-
 def ordered_candidates(b_prev: Build, b_next: Build) -> tuple[TestCase, ...]:
-    """The candidate set as a tuple sorted by test id."""
-    return tuple(sorted(candidate_set(b_prev, b_next), key=lambda t: t.id))
+    """Tests shared by two builds, matched by id, in id order.
+
+    This is the regression candidate set. The returned instances come
+    from ``b_next`` (the version about to run). Disjoint test sets give
+    an empty tuple, which reports that condition rather than raising.
+    """
+    table = b_next.test_by_id()
+    return tuple(table[i] for i in sorted(b_prev.test_ids() & table.keys()))
+
+
+def candidate_set(b_prev: Build, b_next: Build) -> frozenset[TestCase]:
+    """The regression candidate set, unordered: :func:`ordered_candidates` as a set."""
+    return frozenset(ordered_candidates(b_prev, b_next))
+
+
+def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
+    """Shared tests whose outcome differs between the two builds' programs.
+
+    A test a behavior map does not cover reads as no outcome, so it
+    diverges exactly when the other map covers it.
+    """
+    before, after = b_prev.program.behavior, b_next.program.behavior
+    return frozenset(
+        t for t in b_prev.test_ids() & b_next.test_ids() if before.get(t) != after.get(t)
+    )
 
 
 def make_release(

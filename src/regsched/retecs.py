@@ -14,7 +14,9 @@ Two cooperating steps run at every build transition:
 
 A lightweight weight-tableau agent ties the cycles together: failing
 tests gain weight, long-passing tests decay, and executed sequences are
-kept in a bounded FIFO replay buffer that feeds ``atcs``.
+kept in a bounded FIFO replay buffer that feeds ``atcs``. One cycle
+(plan, run, score, learn) is ``strategies.RetecsStrategy`` driven by
+``trace.run_transitions`` over a two-build chain.
 """
 
 from __future__ import annotations
@@ -25,15 +27,13 @@ from typing import Mapping, Sequence
 
 from .budget import Rtw, Schedule, feasible_prefix
 from .errors import (
-    BuildOrderError,
     ConfigurationError,
     EngineLimitError,
     IncompleteVerdictsError,
     UndefinedMetricError,
 )
 from .metrics import MetricContext, QualityMetric
-from .model import Build, TestCase, ordered_candidates
-from .regall import Verdict, run_tests
+from .model import TestCase
 
 
 @dataclass(frozen=True)
@@ -293,44 +293,3 @@ def agent_update(
     entry = BufferEntry(order=executed.ids, reward=reward, failed=failed, q_value=q_value)
     buffer = (state.buffer + (entry,))[-state.capacity :]
     return replace(state, weights=weights, buffer=buffer)
-
-
-@dataclass(frozen=True)
-class CycleResult:
-    """What one adaptive cycle produced: schedule, verdicts, next state."""
-
-    schedule: Schedule
-    verdicts: tuple[Verdict, ...]
-    state: AgentState
-
-
-def retecs_cycle(
-    b_prev: Build,
-    b_next: Build,
-    state: AgentState,
-    window: Rtw,
-    metric: QualityMetric,
-    engine: str = "greedy",
-) -> CycleResult:
-    """Plan, execute, and learn across one consecutive build transition.
-
-    The realized quality value is computed post-hoc from the verdicts
-    (each inconsistent outcome counts as one revealed fault) and stored
-    with the buffer entry; it is None when the metric is undefined for
-    the run (for instance, nothing failed).
-    """
-    if b_next.index != b_prev.index + 1:
-        raise BuildOrderError(
-            f"cycle requires consecutive builds, got {b_prev.index} -> {b_next.index}"
-        )
-    candidates = ordered_candidates(b_prev, b_next)
-    schedule = plan_schedule(candidates, window, state, metric, engine)
-    verdicts = run_tests(b_prev, b_next, schedule.ids)
-    try:
-        q = metric.evaluate(schedule.ids, MetricContext.from_verdicts(verdicts))
-    except UndefinedMetricError:
-        q = None
-    new_state = agent_update(
-        state, schedule, {v.test_id: v.consistent for v in verdicts}, q_value=q
-    )
-    return CycleResult(schedule=schedule, verdicts=verdicts, state=new_state)

@@ -21,7 +21,7 @@ from .budget import Rtw, Schedule, feasible_prefix
 from .depgraph import DepGraph, affected_tests, order_by_history
 from .errors import ConfigurationError
 from .metrics import QualityMetric
-from .model import Build, TestCase
+from .model import Build, TestCase, diverged_tests
 from .regall import Verdict
 from .retecs import AgentState, ExecutionHistory, agent_update, plan_schedule
 
@@ -117,11 +117,7 @@ def infer_changed_classes(
     between the two programs. This stands in for commit metadata, which
     the simulated histories do not carry.
     """
-    prev_ids = b_prev.test_ids()
-    changed_tests = set(b_next.test_ids()) - prev_ids
-    for test_id in sorted(prev_ids & b_next.test_ids()):
-        if b_prev.program.behavior.get(test_id) != b_next.program.behavior.get(test_id):
-            changed_tests.add(test_id)
+    changed_tests = (b_next.test_ids() - b_prev.test_ids()) | diverged_tests(b_prev, b_next)
     return frozenset(dst for src, dst in graph.test_links if src in changed_tests)
 
 

@@ -21,7 +21,7 @@ from .budget import Rtw, Schedule, feasible_prefix
 from .depgraph import DepGraph, affected_tests
 from .errors import ConfigurationError, EngineLimitError, UnsatisfiableRequirementError
 from .metrics import MetricContext, QualityMetric
-from .model import Build, TestCase, candidate_set
+from .model import Build, TestCase, ordered_candidates
 
 __all__ = [
     "RequirementCoverage",
@@ -113,7 +113,7 @@ def rts_select(
     ``changed_classes``), ``random-k`` (a seeded sample of ``k`` tests,
     clamped to the candidate count).
     """
-    candidate_ids = frozenset(t.id for t in candidate_set(b_prev, b_next))
+    candidate_ids = frozenset(t.id for t in ordered_candidates(b_prev, b_next))
     if selector == "retest-all":
         return candidate_ids
     if selector == "dependency-graph":

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, ru
 
 from .budget import Rtw, Schedule
 from .errors import (
+    BuildOrderError,
     HistoryFormatError,
     InfeasibleScheduleError,
     TraceDivergenceError,
@@ -213,9 +214,10 @@ def run_transitions(
 ) -> Iterator[TransitionStep]:
     """Run a strategy over the chain, yielding one step per consecutive build pair.
 
-    ``windows`` supplies one window per pair. A strategy that emits a
-    schedule exceeding its window, or tests outside the candidate set, is
-    rejected immediately with the offending build named.
+    ``windows`` supplies one window per pair. Build indices must be
+    consecutive (:class:`BuildOrderError` otherwise). A strategy that
+    emits a schedule exceeding its window, or tests outside the candidate
+    set, is rejected immediately with the offending build named.
     """
     if len(windows) != max(len(chain) - 1, 0):
         raise ValueError(
@@ -223,6 +225,10 @@ def run_transitions(
         )
     build_context = eval_context or _default_eval_context
     for (b_prev, b_next), window in zip(chain.pairs(), windows):
+        if b_next.index != b_prev.index + 1:
+            raise BuildOrderError(
+                f"transitions need consecutive builds, got {b_prev.index} -> {b_next.index}"
+            )
         candidates = ordered_candidates(b_prev, b_next)
         durations = {t.id: t.duration for t in candidates}
         schedule = strategy.plan(b_prev, b_next, candidates, window)
@@ -291,8 +297,8 @@ def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
     prev: Build | None = None
     for record, build in zip(trace.tuples, chain.builds):
         _check_snapshot(record, build)
-        shared = prev.test_ids() if prev else frozenset()
-        durations = {t.id: t.duration for t in build.tests if t.id in shared}
+        candidates = ordered_candidates(prev, build) if prev else ()
+        durations = {t.id: t.duration for t in candidates}
         breach = _contract_breach(record.schedule, durations, record.delta_tau)
         if breach:
             raise TraceDivergenceError(build.index, breach[0])

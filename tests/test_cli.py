@@ -338,6 +338,46 @@ class TestTraceCommands:
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", ["record", "check"])
+    @pytest.mark.parametrize(
+        "first, step, bad",
+        [(1, 2, 1), (2, 1, 0)],
+        ids=["gapped-indices", "offset-indices"],
+    )
+    def test_build_indices_not_one_to_n_fail_cleanly(
+        self, history_file, tmp_path, capsys, verb, first, step, bad
+    ):
+        data = json.loads(history_file.read_text())
+        for n, row in enumerate(data["builds"]):
+            row["index"] = first + n * step
+        history_file.write_text(json.dumps(data))
+        code = run_cli(
+            "trace", verb, "--history", history_file, "--strategy", "retest-all",
+            "--out", tmp_path / "out.json",
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: $.builds[{bad}].index: ")
+        assert "Traceback" not in err
+
+    def test_replay_rejects_a_build_with_a_duplicate_test_id(
+        self, history_file, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "trace.json"
+        run_cli(
+            "trace", "record", "--history", history_file, "--strategy", "retest-all",
+            "--out", trace_path,
+        )
+        data = json.loads(history_file.read_text())
+        tests = data["builds"][2]["tests"]
+        tests.append(dict(tests[0], exectime=tests[0]["exectime"] + 7))
+        history_file.write_text(json.dumps(data))
+        code = run_cli("trace", "replay", "--history", history_file, "--trace", trace_path)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"build 3 has duplicate test id {tests[0]['id']!r}" in err
+
     def test_window_count_mismatch_fails(self, history_file, tmp_path, capsys):
         assert (
             run_cli(

@@ -16,7 +16,10 @@ from regsched import (
     candidate_set,
     classify_region,
     classify_transition,
+    diverged_tests,
     make_release,
+    ordered_candidates,
+    run_tests,
     transition_deltas,
 )
 from regsched.errors import (
@@ -83,15 +86,14 @@ class TestCandidateSet:
         dupes = frozenset(
             {tc("a", exectime=1), TestCase("a", "other", "other", 2, 0)}
         )
-        bad = Build(
-            index=1,
-            program=ProgramVersion(1, {"a": "ok"}),
-            specs=SpecSet(frozenset()),
-            tests=dupes,
-            ready_at=0,
-        )
-        with pytest.raises(MalformedBuildError):
-            candidate_set(bad, build(2, [tc("a")]))
+        with pytest.raises(MalformedBuildError, match="build 1 has duplicate test id 'a'"):
+            Build(
+                index=1,
+                program=ProgramVersion(1, {"a": "ok"}),
+                specs=SpecSet(frozenset()),
+                tests=dupes,
+                ready_at=0,
+            )
 
     def test_returns_next_build_instances(self):
         b1 = build(1, [tc("a", exectime=1)])
@@ -122,6 +124,41 @@ class TestCandidateSet:
         before = {t.id for t in candidate_set(b1, b2)}
         after = {t.id for t in candidate_set(b1, b2_grown)}
         assert before <= after
+
+    @given(
+        st.dictionaries(st.integers(0, 12), st.integers(0, 9)),
+        st.dictionaries(st.integers(0, 12), st.integers(0, 9)),
+    )
+    def test_ordered_candidates_match_brute_force_intersection(self, left, right):
+        # Oracle: compare every pair of tests by id, then sort by id.
+        b1 = build(1, [tc(f"t{i}", exectime=e) for i, e in left.items()])
+        b2 = build(2, [tc(f"t{i}", exectime=e + 10) for i, e in right.items()])
+        expected = sorted(
+            (t for t in b2.tests if any(u.id == t.id for u in b1.tests)), key=lambda t: t.id
+        )
+        got = ordered_candidates(b1, b2)
+        assert list(got) == expected
+        assert candidate_set(b1, b2) == frozenset(expected)
+
+
+class TestDivergedTests:
+    @given(
+        st.sets(st.integers(0, 12)),
+        st.sets(st.integers(0, 12)),
+        st.sets(st.integers(0, 12)),
+    )
+    def test_matches_per_test_behaviour_comparison(self, left_ids, right_ids, flipped):
+        b1 = build(1, [tc(f"t{i}") for i in left_ids])
+        b2 = build(
+            2,
+            [tc(f"t{i}") for i in right_ids],
+            behavior_overrides={f"t{i}": "flipped" for i in flipped},
+        )
+        # Oracle: execute each shared test on both programs.
+        shared = sorted({t.id for t in b1.tests} & {t.id for t in b2.tests})
+        expected = {v.test_id for v in run_tests(b1, b2, shared) if not v.consistent}
+        assert diverged_tests(b1, b2) == expected
+        assert expected == {f"t{i}" for i in left_ids & right_ids & flipped}
 
 
 REGION_TABLE = [

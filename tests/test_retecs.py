@@ -10,7 +10,9 @@ from helpers import build, tc, ttcp_exact_oracle, two_builds
 from regsched import (
     AgentState,
     BufferEntry,
+    BuildChain,
     ExecutionHistory,
+    RetecsStrategy,
     Rtw,
     Schedule,
     agent_update,
@@ -19,7 +21,7 @@ from regsched import (
     fault_count_metric,
     plan_schedule,
     reg_all,
-    retecs_cycle,
+    run_transitions,
     ttcp,
 )
 from regsched.errors import (
@@ -242,25 +244,32 @@ class TestAgentUpdate:
         assert once == twice
 
 
+def cycle(b_prev, b_next, state, window):
+    """One adaptive cycle: the step it ran and the agent state it left."""
+    strategy = RetecsStrategy(METRIC, "greedy", state)
+    (step,) = run_transitions(strategy, BuildChain((b_prev, b_next)), [window], METRIC)
+    return step, strategy.state
+
+
 class TestCycle:
     def test_unbounded_fresh_state_runs_the_whole_candidate_set(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b"), tc("c")])
-        result = retecs_cycle(b1, b2, AgentState.fresh(), Rtw.unbounded(), METRIC)
-        assert set(result.schedule.ids) == {"a", "b", "c"}
+        step, _ = cycle(b1, b2, AgentState.fresh(), Rtw.unbounded())
+        assert set(step.schedule.ids) == {"a", "b", "c"}
 
     def test_zero_candidates_still_logs_a_cycle(self):
         b1 = build(1, [tc("a")])
         b2 = build(2, [tc("b")])
-        result = retecs_cycle(b1, b2, AgentState.fresh(), Rtw.of_budget(10), METRIC)
-        assert result.schedule.ids == ()
-        assert len(result.state.buffer) == 1
-        assert result.state.buffer[0].reward == 0.0
+        step, state = cycle(b1, b2, AgentState.fresh(), Rtw.of_budget(10))
+        assert step.schedule.ids == ()
+        assert len(state.buffer) == 1
+        assert state.buffer[0].reward == 0.0
 
     def test_non_consecutive_builds_rejected(self):
         b1 = build(1, [tc("a")])
         b3 = build(3, [tc("a")])
         with pytest.raises(BuildOrderError):
-            retecs_cycle(b1, b3, AgentState.fresh(), Rtw.unbounded(), METRIC)
+            cycle(b1, b3, AgentState.fresh(), Rtw.unbounded())
 
     def test_unbounded_cycle_matches_full_overlap_comparison(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b"), tc("c")], diverge=["b"])
@@ -269,9 +278,9 @@ class TestCycle:
         # Even with junk history in the buffer the unbounded cycle must
         # degenerate to running everything.
         state = agent_update(state, Schedule(("a",), 5), {"a": False})
-        result = retecs_cycle(b1, b2, state, window, METRIC)
+        step, _ = cycle(b1, b2, state, window)
         reference = reg_all(b1, b2, window)
-        assert sorted(result.verdicts, key=lambda v: v.test_id) == list(reference.verdicts)
+        assert sorted(step.verdicts, key=lambda v: v.test_id) == list(reference.verdicts)
 
     @given(
         st.lists(st.integers(1, 9), min_size=1, max_size=8),
