@@ -108,6 +108,7 @@ from .trace import (
     Strategy,
     Trace,
     TraceTuple,
+    Transition,
     TransitionStep,
     check_completeness,
     record_trace,

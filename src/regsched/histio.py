@@ -136,11 +136,23 @@ def _expect_list(mapping: object, key: str, path: str) -> list:
     return value
 
 
-def _expect_number(mapping: object, key: str, path: str) -> float:
+def _expect_number(mapping: object, key: str, path: str, minimum: float | None = None) -> float:
     value = _expect(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise HistoryFormatError(f"{path}.{key}: expected a number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise HistoryFormatError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return value
+
+
+def _expect_test_ids(mapping: object, key: str, path: str, known: set[str]) -> frozenset[str]:
+    ids = _expect_list(mapping, key, path)
+    for m, test_id in enumerate(ids):
+        if not isinstance(test_id, str):
+            raise HistoryFormatError(f"{path}.{key}[{m}]: expected a test id, got {test_id!r}")
+        if test_id not in known:
+            raise ReferentialIntegrityError(f"{path}: unknown test {test_id!r}")
+    return frozenset(ids)
 
 
 def _derive_fault_births(chain: BuildChain, faults: dict[str, frozenset[str]]) -> dict[str, int]:
@@ -195,16 +207,18 @@ def _parse_bundle(data: dict) -> HistoryBundle:
             raise HistoryFormatError(f"{path}.index: build indices must run 1..n, got {index}")
         pid = _expect_int(row, "program_id", path)
         ready_at = _expect_int(row, "ready_at", path, minimum=0)
-        stories = []
+        stories: dict[str, UserStory] = {}
         for m, srow in enumerate(_expect_list(row, "stories", path)):
             spath = f"{path}.stories[{m}]"
-            stories.append(
-                UserStory(
-                    id=_expect_str(srow, "id", spath),
-                    bv=_expect_number(srow, "bv", spath),
-                    sp=_expect_number(srow, "sp", spath),
-                )
+            story = UserStory(
+                id=_expect_str(srow, "id", spath),
+                bv=_expect_number(srow, "bv", spath, minimum=0),
+                sp=_expect_number(srow, "sp", spath, minimum=0),
             )
+            if stories.setdefault(story.id, story) != story:
+                raise HistoryFormatError(
+                    f"{spath}.id: story {story.id!r} repeats with different values"
+                )
         tests = []
         for m, trow in enumerate(_expect_list(row, "tests", path)):
             tpath = f"{path}.tests[{m}]"
@@ -227,12 +241,12 @@ def _parse_bundle(data: dict) -> HistoryBundle:
         if pid not in programs:
             programs[pid] = ProgramVersion(pid, behavior[pid])
         all_test_ids.update(t.id for t in tests)
-        all_story_ids.update(s.id for s in stories)
+        all_story_ids.update(stories)
         builds.append(
             Build(
                 index=index,
                 program=programs[pid],
-                specs=SpecSet(frozenset(stories)),
+                specs=SpecSet(frozenset(stories.values())),
                 tests=frozenset(tests),
                 ready_at=ready_at,
             )
@@ -260,21 +274,13 @@ def _parse_bundle(data: dict) -> HistoryBundle:
         story = _expect_str(row, "story_id", path)
         if story not in all_story_ids:
             raise ReferentialIntegrityError(f"{path}: unknown story {story!r}")
-        tests_field = _expect_list(row, "test_ids", path)
-        for t in tests_field:
-            if t not in all_test_ids:
-                raise ReferentialIntegrityError(f"{path}: unknown test {t!r}")
-        coverage[story] = frozenset(tests_field)
+        coverage[story] = _expect_test_ids(row, "test_ids", path, all_test_ids)
 
     faults: dict[str, frozenset[str]] = {}
     for n, row in enumerate(_expect_list(data, "faults", "$")):
         path = f"$.faults[{n}]"
         fid = _expect_str(row, "fault_id", path)
-        detectors = _expect_list(row, "detecting_test_ids", path)
-        for t in detectors:
-            if t not in all_test_ids:
-                raise ReferentialIntegrityError(f"{path}: unknown test {t!r}")
-        faults[fid] = frozenset(detectors)
+        faults[fid] = _expect_test_ids(row, "detecting_test_ids", path, all_test_ids)
 
     classes = {dst for _, dst in test_links} | {c for edge in class_deps for c in edge}
     graph = build_graph(

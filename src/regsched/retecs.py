@@ -81,6 +81,10 @@ class BufferEntry:
     q_value: float | None
 
 
+# The weight of a test the agent has never seen executed.
+INITIAL_WEIGHT = 1.0
+
+
 @dataclass(frozen=True)
 class AgentState:
     """Learned per-test priority weights plus a bounded replay buffer.
@@ -90,7 +94,7 @@ class AgentState:
         weight <- weight * decay + (failure_reward if the test failed else 0)
 
     so weights live in ``[0, failure_reward / (1 - decay)]``. Tests never
-    executed read as ``initial_weight``. The buffer keeps the last
+    executed read as :data:`INITIAL_WEIGHT`. The buffer keeps the last
     ``capacity`` executed (sequence, reward) entries, evicting strictly
     oldest-first.
     """
@@ -100,7 +104,6 @@ class AgentState:
     capacity: int = 10
     decay: float = 0.95
     failure_reward: float = 1.0
-    initial_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -110,12 +113,8 @@ class AgentState:
         if len(self.buffer) > self.capacity:
             raise ConfigurationError("replay buffer exceeds its capacity", field="buffer")
 
-    @classmethod
-    def fresh(cls, **overrides: object) -> "AgentState":
-        return cls(**overrides)  # type: ignore[arg-type]
-
     def weight(self, test_id: str) -> float:
-        return self.weights.get(test_id, self.initial_weight)
+        return self.weights.get(test_id, INITIAL_WEIGHT)
 
 
 def _priority(test_id: str, priorities: Mapping[str, float] | None) -> float:
@@ -140,16 +139,18 @@ def ttcp(
     ``k`` being the most that fit: each slot takes the first candidate
     whose cost, plus the cheapest ``k``-completing costs ranked after it,
     fits (O(n^2 log n), no size limit). The greedy engine ranks by priority
-    per unit cost and keeps the longest feasible prefix. No result depends
-    on ``metric`` or ``ctx``. An unbounded window gives the full priority
-    ordering; a window too small for any test gives an empty schedule
-    flagged ``budget_starved``.
+    per unit cost, zero-cost tests first (they always fit), and keeps the
+    longest feasible prefix. No result depends on ``metric`` or ``ctx``. An
+    unbounded window gives the full priority ordering; a window too small
+    for any test gives an empty schedule flagged ``budget_starved``.
     """
-    base = sorted(candidates, key=lambda t: (-_priority(t.id, priorities), t.id))
-    durations = {t.id: t.duration for t in base}
+    durations = {t.id: t.duration for t in candidates}
+
+    def by_priority(t: TestCase) -> tuple[float, str]:
+        return -_priority(t.id, priorities), t.id
 
     if window.is_unbounded:
-        ids = tuple(t.id for t in base)
+        ids = tuple(t.id for t in sorted(candidates, key=by_priority))
         return Schedule.from_ids(ids, durations, technique=f"ttcp-{engine}")
 
     budget = window.budget()
@@ -157,6 +158,7 @@ def ttcp(
 
     if engine == "exact":
         k = sum(1 for prefix in accumulate(sorted(durations.values())) if prefix <= budget)
+        base = sorted(candidates, key=by_priority)
         ids: tuple[str, ...] = ()
         total = 0
         for position, t in enumerate(base):
@@ -167,14 +169,15 @@ def ttcp(
                 ids += (t.id,)
                 total += t.duration
     elif engine == "greedy":
-        by_value = sorted(
-            durations, key=lambda i: (-(_priority(i, priorities) / durations[i]), i)
-        )
-        ids, total = feasible_prefix(by_value, durations, window)
+        def by_value(i: str) -> tuple[bool, float, str]:
+            d = durations[i]
+            return d > 0, -(_priority(i, priorities) / d) if d else 0.0, i
+
+        ids, total = feasible_prefix(sorted(durations, key=by_value), durations, window)
     else:
         raise EngineLimitError(f"unknown ttcp engine {engine!r}")
     meta: dict[str, object] = {"technique": f"ttcp-{engine}"}
-    if not ids and base:
+    if not ids and durations:
         meta["budget_starved"] = True
     return Schedule(ids, total, meta)
 
@@ -287,7 +290,7 @@ def agent_update(
     reward = len(failed) / len(executed.ids) if executed.ids else 0.0
     weights = dict(state.weights)
     for test_id in executed.ids:
-        w = weights.get(test_id, state.initial_weight)
+        w = weights.get(test_id, INITIAL_WEIGHT)
         bump = state.failure_reward if test_id in failed else 0.0
         weights[test_id] = w * state.decay + bump
     entry = BufferEntry(order=executed.ids, reward=reward, failed=failed, q_value=q_value)

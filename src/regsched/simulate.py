@@ -473,7 +473,8 @@ def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
         strategy, bundle.chain, windows_for(cfg, bundle), metric,
         eval_context=scenario_eval_context(bundle),
     ):
-        b_prev, b_next, verdicts = step.b_prev, step.b_next, step.verdicts
+        transition, verdicts = step.transition, step.verdicts
+        b_prev, b_next = transition.b_prev, transition.b_next
         births = active_faults(bundle, b_next.index)
         executed = set(step.schedule.ids)
         undetected = tuple(
@@ -481,15 +482,15 @@ def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
         )
         detected += len(births) - len(undetected)
         match: bool | None = None
-        if step.window.is_unbounded:
-            reference = reg_all(b_prev, b_next, step.window)
+        if transition.window.is_unbounded:
+            reference = reg_all(b_prev, b_next, transition.window)
             match = tuple(sorted(verdicts, key=lambda v: v.test_id)) == reference.verdicts
         records.append(step.record)
         rows.append(
             TransitionRow(
                 build_index=b_next.index,
                 transition=classify_transition(b_prev, b_next).value,
-                candidate_count=step.candidate_count,
+                candidate_count=len(transition.candidates),
                 schedule=step.schedule.ids,
                 total_cost=step.schedule.total_cost,
                 q_value=step.record.q_value,

@@ -17,13 +17,13 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
-from .budget import Rtw, Schedule, feasible_prefix
+from .budget import Schedule, feasible_prefix
 from .depgraph import DepGraph, affected_tests, order_by_history
 from .errors import ConfigurationError
 from .metrics import QualityMetric
-from .model import Build, TestCase, diverged_tests
-from .regall import Verdict
+from .model import Build, diverged_tests
 from .retecs import AgentState, ExecutionHistory, agent_update, plan_schedule
+from .trace import Transition, TransitionStep
 
 
 class RetestAllStrategy:
@@ -36,15 +36,13 @@ class RetestAllStrategy:
 
     name = "retest-all"
 
-    def plan(
-        self, b_prev: Build, b_next: Build, candidates: tuple[TestCase, ...], window: Rtw
-    ) -> Schedule:
-        durations = {t.id: t.duration for t in candidates}
-        ids, total = feasible_prefix([t.id for t in candidates], durations, window)
-        clipped = len(ids) < len(candidates) and not window.is_unbounded
+    def plan(self, transition: Transition) -> Schedule:
+        window = transition.window
+        ids, total = feasible_prefix(tuple(transition.durations), transition.durations, window)
+        clipped = len(ids) < len(transition.candidates) and not window.is_unbounded
         return Schedule(ids, total, {"technique": self.name, "clipped": clipped})
 
-    def observe(self, build_index, executed, verdicts, q_value) -> None:
+    def observe(self, step: TransitionStep) -> None:
         pass
 
 
@@ -59,16 +57,13 @@ class RandomKStrategy:
         self.k = k
         self._rng = random.Random(seed)
 
-    def plan(
-        self, b_prev: Build, b_next: Build, candidates: tuple[TestCase, ...], window: Rtw
-    ) -> Schedule:
-        durations = {t.id: t.duration for t in candidates}
-        take = min(self.k, len(candidates))
-        sampled = self._rng.sample(sorted(durations), take)
-        ids, total = feasible_prefix(sampled, durations, window)
+    def plan(self, transition: Transition) -> Schedule:
+        durations = transition.durations
+        sampled = self._rng.sample(list(durations), min(self.k, len(durations)))
+        ids, total = feasible_prefix(sampled, durations, transition.window)
         return Schedule(ids, total, {"technique": self.name, "k": self.k})
 
-    def observe(self, build_index, executed, verdicts, q_value) -> None:
+    def observe(self, step: TransitionStep) -> None:
         pass
 
 
@@ -85,25 +80,19 @@ class RetecsStrategy:
     ):
         self.metric = metric
         self.engine = engine
-        self.state = state if state is not None else AgentState.fresh()
+        self.state = state if state is not None else AgentState()
 
-    def plan(
-        self, b_prev: Build, b_next: Build, candidates: tuple[TestCase, ...], window: Rtw
-    ) -> Schedule:
-        return plan_schedule(candidates, window, self.state, self.metric, self.engine)
+    def plan(self, transition: Transition) -> Schedule:
+        return plan_schedule(
+            transition.candidates, transition.window, self.state, self.metric, self.engine
+        )
 
-    def observe(
-        self,
-        build_index: int,
-        executed: Schedule,
-        verdicts: tuple[Verdict, ...],
-        q_value: float | None,
-    ) -> None:
+    def observe(self, step: TransitionStep) -> None:
         self.state = agent_update(
             self.state,
-            executed,
-            {v.test_id: v.consistent for v in verdicts},
-            q_value=q_value,
+            step.schedule,
+            {v.test_id: v.consistent for v in step.verdicts},
+            q_value=step.record.q_value,
         )
 
 
@@ -134,30 +123,21 @@ class DepGraphStrategy:
         self.graph = graph
         self.recent = recent
         self.history = ExecutionHistory()
-        self._durations: dict[str, int] = {}
 
-    def plan(
-        self, b_prev: Build, b_next: Build, candidates: tuple[TestCase, ...], window: Rtw
-    ) -> Schedule:
-        durations = {t.id: t.duration for t in candidates}
-        self._durations = durations
-        changed = infer_changed_classes(b_prev, b_next, self.graph)
-        selected = affected_tests(self.graph, changed, frozenset(durations))
+    def plan(self, transition: Transition) -> Schedule:
+        durations = transition.durations
+        changed = infer_changed_classes(transition.b_prev, transition.b_next, self.graph)
+        selected = affected_tests(self.graph, changed, durations.keys())
         schedule = order_by_history(
-            selected, self.history, window, durations, recent=self.recent
+            selected, self.history, transition.window, durations, recent=self.recent
         )
         return Schedule(schedule.ids, schedule.total_cost, {"technique": self.name})
 
-    def observe(
-        self,
-        build_index: int,
-        executed: Schedule,
-        verdicts: tuple[Verdict, ...],
-        q_value: float | None,
-    ) -> None:
-        for v in verdicts:
+    def observe(self, step: TransitionStep) -> None:
+        durations = step.transition.durations
+        for v in step.verdicts:
             self.history.add(
-                v.test_id, build_index, v.consistent, self._durations.get(v.test_id, 0)
+                v.test_id, step.transition.b_next.index, v.consistent, durations[v.test_id]
             )
 
 
@@ -187,7 +167,7 @@ def make_strategy(
     if name == "retecs":
         if metric is None:
             raise ConfigurationError("retecs needs a quality metric", field="metric")
-        state = AgentState.fresh(
+        state = AgentState(
             capacity=_param(params, "capacity", int, 10),
             decay=_param(params, "decay", float, 0.95),
             failure_reward=_param(params, "failure_reward", float, 1.0),

@@ -1,13 +1,15 @@
 """Run a scheduling strategy once per build pair, record it, replay it.
 
-Any per-build strategy - something that receives the build's program
-version, active stories, candidate tests, and window, and emits a
-budget-feasible schedule - can be captured losslessly as one record per
-build: the program id, story ids, test ids, the window budget, the
-realized quality value, and the exact executed ordering.
-:func:`run_transitions` is the one place a strategy runs; each step it
-yields holds the record, the priced schedule, the verdicts and the
-candidate count, so recording and reporting share one execution.
+A :class:`Transition` is one build pair with its window and its priced
+candidates (the tests both builds hold, in id order). It is derived once
+per pair, and a strategy is a ``plan(transition) -> Schedule`` that emits
+a budget-feasible schedule plus an ``observe(step)`` that learns from the
+:class:`TransitionStep` the schedule produced. Any such strategy can be
+captured losslessly as one record per build: the program id, story ids,
+test ids, the window budget, the realized quality value, and the exact
+executed ordering. :func:`run_transitions` is the one place a strategy
+runs; each step it yields holds the transition, the record, the priced
+schedule and the verdicts, so recording and reporting share one execution.
 Replaying the records against the same chain reproduces the original
 schedules and verdicts bit for bit, and enforces the same per-build
 contract as recording: a schedule outside its candidates or over its
@@ -22,7 +24,7 @@ time-boxed pipelines can reject them as policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .budget import Rtw, Schedule
 from .errors import (
@@ -40,32 +42,41 @@ from .regall import Verdict, run_tests
 EvalContext = Callable[[Build, Build, Sequence[str], Sequence[Verdict]], MetricContext]
 
 
-@runtime_checkable
+@dataclass(frozen=True)
+class Transition:
+    """One build pair and its window: what every strategy plans from.
+
+    ``candidates`` are the tests both builds hold, as ``b_next``'s
+    instances, in id order; ``durations`` maps each candidate's id to its
+    cost in the same order.
+    """
+
+    b_prev: Build
+    b_next: Build
+    window: Rtw
+    candidates: tuple[TestCase, ...]
+    durations: Mapping[str, int]
+
+    @classmethod
+    def of(cls, b_prev: Build, b_next: Build, window: Rtw) -> "Transition":
+        candidates = ordered_candidates(b_prev, b_next)
+        return cls(b_prev, b_next, window, candidates, {t.id: t.duration for t in candidates})
+
+
 class Strategy(Protocol):
     """A per-build scheduling strategy.
 
-    ``plan`` must return a schedule drawn from the candidate set whose
-    total duration fits the window. ``observe`` is called after execution
-    so stateful strategies can learn; stateless ones may ignore it.
+    ``plan`` must return a schedule drawn from the transition's candidates
+    whose total duration fits its window. ``observe`` is called with the
+    step that ran the schedule so stateful strategies can learn; stateless
+    ones may ignore it.
     """
 
     name: str
 
-    def plan(
-        self,
-        b_prev: Build,
-        b_next: Build,
-        candidates: tuple[TestCase, ...],
-        window: Rtw,
-    ) -> Schedule: ...
+    def plan(self, transition: Transition) -> Schedule: ...
 
-    def observe(
-        self,
-        build_index: int,
-        executed: Schedule,
-        verdicts: tuple[Verdict, ...],
-        q_value: float | None,
-    ) -> None: ...
+    def observe(self, step: TransitionStep) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -191,17 +202,14 @@ def _contract_breach(
 class TransitionStep:
     """One build pair, run once: what every consumer of the run reads.
 
-    ``schedule`` is priced from the candidate durations (the cost a replay
-    of ``record`` computes), not taken from the strategy's own total.
+    ``schedule`` is priced from the transition's durations (the cost a
+    replay of ``record`` computes), not taken from the strategy's own total.
     """
 
-    b_prev: Build
-    b_next: Build
-    window: Rtw
+    transition: Transition
     record: TraceTuple
     schedule: Schedule
     verdicts: tuple[Verdict, ...]
-    candidate_count: int
 
 
 def run_transitions(
@@ -229,11 +237,10 @@ def run_transitions(
             raise BuildOrderError(
                 f"transitions need consecutive builds, got {b_prev.index} -> {b_next.index}"
             )
-        candidates = ordered_candidates(b_prev, b_next)
-        durations = {t.id: t.duration for t in candidates}
-        schedule = strategy.plan(b_prev, b_next, candidates, window)
+        transition = Transition.of(b_prev, b_next, window)
+        schedule = strategy.plan(transition)
         budget = window.budget()
-        breach = _contract_breach(schedule.ids, durations, budget)
+        breach = _contract_breach(schedule.ids, transition.durations, budget)
         if breach:
             raise InfeasibleScheduleError(b_next.index, breach[1])
         verdicts = run_tests(b_prev, b_next, schedule.ids)
@@ -242,11 +249,14 @@ def run_transitions(
             q = metric.evaluate(schedule.ids, ctx)
         except UndefinedMetricError:
             q = None
-        strategy.observe(b_next.index, schedule, verdicts, q)
-        yield TransitionStep(
-            b_prev, b_next, window, _snapshot(b_next, budget, q, schedule.ids),
-            Schedule.from_ids(schedule.ids, durations, **schedule.meta), verdicts, len(candidates),
+        step = TransitionStep(
+            transition,
+            _snapshot(b_next, budget, q, schedule.ids),
+            Schedule.from_ids(schedule.ids, transition.durations, **schedule.meta),
+            verdicts,
         )
+        strategy.observe(step)
+        yield step
 
 
 def record_trace(
@@ -297,8 +307,9 @@ def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
     prev: Build | None = None
     for record, build in zip(trace.tuples, chain.builds):
         _check_snapshot(record, build)
-        candidates = ordered_candidates(prev, build) if prev else ()
-        durations = {t.id: t.duration for t in candidates}
+        durations = (
+            Transition.of(prev, build, Rtw.of_budget(record.delta_tau)).durations if prev else {}
+        )
         breach = _contract_breach(record.schedule, durations, record.delta_tau)
         if breach:
             raise TraceDivergenceError(build.index, breach[0])

@@ -249,9 +249,9 @@ def test_c10_record_replay_round_trips_for_every_builtin_strategy():
                 def plan(self, *a):
                     return self.inner.plan(*a)
 
-                def observe(self, build_index, executed, verdicts, q_value):
-                    observed.append((executed.ids, verdicts))
-                    self.inner.observe(build_index, executed, verdicts, q_value)
+                def observe(self, step):
+                    observed.append((step.schedule.ids, step.verdicts))
+                    self.inner.observe(step)
 
             trace = record_trace(Capture(), bundle.chain, windows, metric,
                                  eval_context=eval_ctx)

@@ -262,18 +262,32 @@ class TestTraceCommands:
         assert trace.tuples[-1].is_unbounded
 
     @pytest.mark.parametrize(
-        "position, field, value, names",
+        "document, keys, value, names",
         [
-            (1, "delta_tau", "abc", "trace record 2"),
-            (1, "delta_tau", 2.5, "trace record 2"),
-            (1, "delta_tau", "7", "trace record 2"),
-            (1, "delta_tau", True, "trace record 2"),
-            (1, "schedule", ["ghost"], "trace record 2"),
-            (2, "index", 7, "trace data"),
+            ("trace", ("tuples", 1, "delta_tau"), "abc", "trace record 2"),
+            ("trace", ("tuples", 1, "delta_tau"), 2.5, "trace record 2"),
+            ("trace", ("tuples", 1, "delta_tau"), "7", "trace record 2"),
+            ("trace", ("tuples", 1, "delta_tau"), True, "trace record 2"),
+            ("trace", ("tuples", 1, "schedule"), ["ghost"], "trace record 2"),
+            ("trace", ("tuples", 2, "index"), 7, "trace data"),
             # Build 1 has no predecessor, so none of its tests is a candidate.
-            (0, "schedule", ["t001"], "build 1, field 'schedule'"),
+            ("trace", ("tuples", 0, "schedule"), ["t001"], "build 1, field 'schedule'"),
             # Every test of build 2 costs far more than the recorded window of 40.
-            (1, "schedule", [f"t{n:03d}" for n in range(1, 21)], "build 2, field 'delta_tau'"),
+            (
+                "trace", ("tuples", 1, "schedule"), [f"t{n:03d}" for n in range(1, 21)],
+                "build 2, field 'delta_tau'",
+            ),
+            ("history", ("builds", 0, "stories", 0, "bv"), -1, "$.builds[0].stories[0].bv: "),
+            (
+                "history", ("coverage", 0, "test_ids", 0), {"id": "t008"},
+                "$.coverage[0].test_ids[0]: ",
+            ),
+            (
+                "history", ("faults", 0, "detecting_test_ids", 0), ["t016"],
+                "$.faults[0].detecting_test_ids[0]: ",
+            ),
+            # Story s002 of build 1 takes the id of s001, which has other values.
+            ("history", ("builds", 0, "stories", 1, "id"), "s001", "$.builds[0].stories[1].id: "),
         ],
         ids=[
             "delta-tau-not-a-number",
@@ -284,19 +298,28 @@ class TestTraceCommands:
             "index-out-of-order",
             "schedule-outside-candidates",
             "schedule-over-delta-tau",
+            "story-bv-negative",
+            "coverage-test-id-a-dict",
+            "detecting-test-id-a-list",
+            "story-id-repeated-with-other-values",
         ],
     )
     def test_malformed_trace_replay_fails_cleanly(
-        self, history_file, tmp_path, capsys, position, field, value, names
+        self, history_file, tmp_path, capsys, document, keys, value, names
     ):
         trace_path = tmp_path / "trace.json"
         run_cli(
             "trace", "record", "--history", history_file, "--strategy", "retest-all",
             "--window", "40", "--out", trace_path,
         )
-        data = json.loads(trace_path.read_text())
-        data["tuples"][position][field] = value
-        trace_path.write_text(json.dumps(data))
+        target = trace_path if document == "trace" else history_file
+        data = json.loads(target.read_text())
+        *parents, last = keys
+        node = data
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        target.write_text(json.dumps(data))
         code = run_cli("trace", "replay", "--history", history_file, "--trace", trace_path)
         err = capsys.readouterr().err
         assert code == 1
@@ -377,6 +400,29 @@ class TestTraceCommands:
         assert code == 1
         assert err.startswith("error: ")
         assert f"build 3 has duplicate test id {tests[0]['id']!r}" in err
+
+    def test_retecs_records_a_zero_cost_test_within_budget(self, history_file, tmp_path):
+        data = json.loads(history_file.read_text())
+        for row in data["builds"]:
+            row["tests"][0].update(exectime=0, setup=0)
+        history_file.write_text(json.dumps(data))
+        trace_path = tmp_path / "trace.json"
+        assert (
+            run_cli(
+                "trace", "record", "--history", history_file, "--strategy", "retecs",
+                "--window", "30", "--out", trace_path,
+            )
+            == 0
+        )
+        cost = {
+            (row["index"], t["id"]): t["exectime"] + t["setup"]
+            for row in data["builds"]
+            for t in row["tests"]
+        }
+        for record in load_trace(trace_path).tuples[1:]:
+            assert record.delta_tau == 30
+            assert "t001" in record.schedule
+            assert sum(cost[record.index, i] for i in record.schedule) <= 30
 
     def test_window_count_mismatch_fails(self, history_file, tmp_path, capsys):
         assert (

@@ -9,8 +9,10 @@ from regsched import (
     Iteration,
     ProgramVersion,
     Region,
+    Rtw,
     SpecSet,
     TestCase,
+    Transition,
     TransitionKind,
     UserStory,
     candidate_set,
@@ -127,18 +129,23 @@ class TestCandidateSet:
 
     @given(
         st.dictionaries(st.integers(0, 12), st.integers(0, 9)),
-        st.dictionaries(st.integers(0, 12), st.integers(0, 9)),
+        st.dictionaries(st.integers(0, 12), st.tuples(st.integers(0, 9), st.integers(0, 9))),
     )
     def test_ordered_candidates_match_brute_force_intersection(self, left, right):
         # Oracle: compare every pair of tests by id, then sort by id.
         b1 = build(1, [tc(f"t{i}", exectime=e) for i, e in left.items()])
-        b2 = build(2, [tc(f"t{i}", exectime=e + 10) for i, e in right.items()])
+        b2 = build(2, [tc(f"t{i}", exectime=e + 10, setup=s) for i, (e, s) in right.items()])
         expected = sorted(
             (t for t in b2.tests if any(u.id == t.id for u in b1.tests)), key=lambda t: t.id
         )
         got = ordered_candidates(b1, b2)
         assert list(got) == expected
         assert candidate_set(b1, b2) == frozenset(expected)
+        transition = Transition.of(b1, b2, Rtw.of_budget(7))
+        assert transition.candidates == tuple(expected)
+        assert list(transition.durations.items()) == [
+            (t.id, t.exectime + t.setup) for t in expected
+        ]
 
 
 class TestDivergedTests:

@@ -129,6 +129,17 @@ class TestTtcp:
         sched = ttcp(tests, METRIC, Rtw.of_budget(12), engine="greedy", priorities=priorities)
         assert sched.ids == ("fast", "slow")
 
+    def test_greedy_ranks_zero_cost_tests_first_by_id(self):
+        # A zero-cost test has no priority per unit cost; it always fits.
+        tests = [tc("b", exectime=0, setup=0), tc("c", exectime=2, setup=0),
+                 tc("a", exectime=0, setup=0), tc("d", exectime=9, setup=0)]
+        priorities = {"c": 5.0, "d": 0.1}
+        sched = ttcp(tests, METRIC, Rtw.of_budget(3), engine="greedy", priorities=priorities)
+        assert (sched.ids, sched.total_cost) == (("a", "b", "c"), 2)
+        starved = ttcp(tests, METRIC, Rtw.of_budget(0), engine="greedy", priorities=priorities)
+        assert starved.ids == ("a", "b")
+        assert "budget_starved" not in starved.meta
+
     @given(
         st.lists(st.integers(1, 9), min_size=1, max_size=6),
         st.integers(0, 30),
@@ -254,13 +265,13 @@ def cycle(b_prev, b_next, state, window):
 class TestCycle:
     def test_unbounded_fresh_state_runs_the_whole_candidate_set(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b"), tc("c")])
-        step, _ = cycle(b1, b2, AgentState.fresh(), Rtw.unbounded())
+        step, _ = cycle(b1, b2, AgentState(), Rtw.unbounded())
         assert set(step.schedule.ids) == {"a", "b", "c"}
 
     def test_zero_candidates_still_logs_a_cycle(self):
         b1 = build(1, [tc("a")])
         b2 = build(2, [tc("b")])
-        step, state = cycle(b1, b2, AgentState.fresh(), Rtw.of_budget(10))
+        step, state = cycle(b1, b2, AgentState(), Rtw.of_budget(10))
         assert step.schedule.ids == ()
         assert len(state.buffer) == 1
         assert state.buffer[0].reward == 0.0
@@ -269,12 +280,12 @@ class TestCycle:
         b1 = build(1, [tc("a")])
         b3 = build(3, [tc("a")])
         with pytest.raises(BuildOrderError):
-            cycle(b1, b3, AgentState.fresh(), Rtw.unbounded())
+            cycle(b1, b3, AgentState(), Rtw.unbounded())
 
     def test_unbounded_cycle_matches_full_overlap_comparison(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b"), tc("c")], diverge=["b"])
         window = Rtw.unbounded()
-        state = AgentState.fresh()
+        state = AgentState()
         # Even with junk history in the buffer the unbounded cycle must
         # degenerate to running everything.
         state = agent_update(state, Schedule(("a",), 5), {"a": False})
@@ -291,7 +302,7 @@ class TestCycle:
     def test_bounded_plans_never_overrun(self, durations, budget, seed):
         rng = random.Random(seed)
         tests = suite(durations)
-        state = AgentState.fresh()
+        state = AgentState()
         window = Rtw.of_budget(budget)
         for _ in range(3):
             sched = plan_schedule(tests, window, state, METRIC)

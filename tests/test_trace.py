@@ -11,12 +11,13 @@ from regsched import (
     Schedule,
     Trace,
     TraceTuple,
+    Transition,
+    TransitionStep,
     ScenarioConfig,
     check_completeness,
     fault_count_metric,
     generate_chain,
     make_strategy,
-    ordered_candidates,
     record_trace,
     replay_trace,
     run_tests,
@@ -49,12 +50,10 @@ class RogueStrategy:
 
     name = "rogue"
 
-    def plan(self, b_prev, b_next, candidates, window):
-        return Schedule.from_ids(
-            [t.id for t in candidates], {t.id: t.duration for t in candidates}
-        )
+    def plan(self, transition):
+        return Schedule.from_ids(transition.durations, transition.durations)
 
-    def observe(self, build_index, executed, verdicts, q_value):
+    def observe(self, step):
         pass
 
 
@@ -63,10 +62,10 @@ class EscapingStrategy:
 
     name = "escaping"
 
-    def plan(self, b_prev, b_next, candidates, window):
+    def plan(self, transition):
         return Schedule(("not-a-candidate",), 0)
 
-    def observe(self, build_index, executed, verdicts, q_value):
+    def observe(self, step):
         pass
 
 
@@ -136,14 +135,18 @@ class TestRecord:
         direct = fresh()
         manual = []
         for (b_prev, b_next), window in zip(bundle.chain.pairs(), windows):
-            candidates = ordered_candidates(b_prev, b_next)
-            sched = direct.plan(b_prev, b_next, candidates, window)
+            transition = Transition.of(b_prev, b_next, window)
+            sched = direct.plan(transition)
             verdicts = run_tests(b_prev, b_next, sched.ids)
             try:
                 q = metric.evaluate(sched.ids, MetricContext.from_verdicts(verdicts))
             except UndefinedMetricError:
                 q = None
-            direct.observe(b_next.index, sched, verdicts, q)
+            record = TraceTuple(
+                b_next.index, b_next.program.id, tuple(sorted(b_next.story_ids())),
+                tuple(sorted(b_next.test_ids())), window.budget(), q, sched.ids,
+            )
+            direct.observe(TransitionStep(transition, record, sched, verdicts))
             manual.append(sched.ids)
         assert [t.schedule for t in trace.tuples[1:]] == manual
 
