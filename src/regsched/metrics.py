@@ -2,13 +2,14 @@
 
 A metric scores an ordered sequence of test ids against contextual data
 (known faults, requirement coverage, observed failures). Higher is
-better; every metric is deterministic for fixed inputs.
+better; every metric is deterministic for fixed inputs. The built-in
+metrics also name the groups (faults or stories) they count, so greedy
+prioritization ranks tests by the groups they newly hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, UndefinedMetricError
@@ -44,8 +45,9 @@ def first_detection_positions(
     """1-based position of each fault's first detecting test in the order.
 
     Faults detected by no test in the order get position ``len(order)+1``.
+    A test repeated in the order counts at its first position.
     """
-    position = {test_id: i for i, test_id in enumerate(order, start=1)}
+    position = dict(zip(reversed(order), range(len(order), 0, -1)))
     sentinel = len(order) + 1
     return {
         fault_id: min((position[t] for t in detectors if t in position), default=sentinel)
@@ -59,7 +61,7 @@ def apfd(order: Sequence[str], faults: Mapping[str, AbstractSet[str]]) -> float:
     APFD = 1 - (sum of first-detection positions) / (n * m) + 1 / (2n)
     with n the order length and m the fault count. Undetected faults
     contribute position n+1, so truncated schedules are penalized rather
-    than rejected. Computed with exact rational arithmetic and rounded
+    than rejected. The integer ratio (2nm - 2*sum + m) / (2nm) is rounded
     once, so reference values reproduce exactly.
 
     Undefined (raises) for an empty order with faults present, and when
@@ -72,22 +74,33 @@ def apfd(order: Sequence[str], faults: Mapping[str, AbstractSet[str]]) -> float:
     if n == 0:
         raise UndefinedMetricError("empty order cannot be scored against faults")
     tf_sum = sum(first_detection_positions(order, faults).values())
-    return float(1 - Fraction(tf_sum, n * m) + Fraction(1, 2 * n))
+    return (2 * n * m - 2 * tf_sum + m) / (2 * n * m)
 
 
 @dataclass(frozen=True)
 class QualityMetric:
-    """A named evaluation function over ordered test sequences."""
+    """A named evaluation function over ordered test sequences.
+
+    ``groups``, if set, maps a context to group id -> the tests hitting it,
+    and for any prefix the score of ``prefix + [t]`` rises with the number
+    of groups ``t`` newly hits, so greedy prioritization ranks by that count.
+    """
 
     name: str
     fn: Callable[[Sequence[str], MetricContext], float]
+    groups: Callable[[MetricContext], Mapping[str, AbstractSet[str]]] | None = None
 
     def evaluate(self, order: Sequence[str], ctx: MetricContext) -> float:
         return self.fn(order, ctx)
 
 
 def apfd_metric() -> QualityMetric:
-    return QualityMetric("apfd", lambda order, ctx: apfd(order, ctx.faults))
+    def faults(ctx: MetricContext) -> Mapping[str, AbstractSet[str]]:
+        if not ctx.faults:
+            raise UndefinedMetricError("no faults to detect")
+        return ctx.faults
+
+    return QualityMetric("apfd", lambda order, ctx: apfd(order, ctx.faults), faults)
 
 
 def fault_count_metric() -> QualityMetric:
@@ -97,7 +110,7 @@ def fault_count_metric() -> QualityMetric:
         executed = set(order)
         return float(sum(1 for detectors in ctx.faults.values() if detectors & executed))
 
-    return QualityMetric("fault-count", value)
+    return QualityMetric("fault-count", value, lambda ctx: ctx.faults)
 
 
 def coverage_metric() -> QualityMetric:
@@ -113,7 +126,7 @@ def coverage_metric() -> QualityMetric:
         hit = sum(1 for tests in ctx.coverage.values() if tests & executed)
         return hit / len(ctx.coverage)
 
-    return QualityMetric("coverage", value)
+    return QualityMetric("coverage", value, lambda ctx: ctx.coverage)
 
 
 _METRICS: dict[str, Callable[[], QualityMetric]] = {

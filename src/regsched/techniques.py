@@ -7,7 +7,9 @@ The three classic responses to a budget too small for running everything:
 * prioritize - order the candidates so an evaluation function is maximized.
 
 Exact engines exist for oracle-grade answers on small inputs; greedy
-engines are the practical default. Requirement coverage is always
+engines are the practical default. Greedy minimize, and greedy prioritize
+for a metric with ``groups``, are the "additional" strategy of Rothermel
+et al. (TSE 2001). Requirement coverage is always
 explicit data (a story id -> test ids map), never inferred.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .budget import Rtw, Schedule, feasible_prefix
 from .depgraph import DepGraph, affected_tests
@@ -34,6 +36,27 @@ __all__ = [
 
 # Requirement coverage: story id -> the candidate tests fulfilling it.
 RequirementCoverage = Mapping[str, AbstractSet[str]]
+
+
+def additional_greedy(
+    ids: Sequence[str], groups: Mapping[str, AbstractSet[str]]
+) -> tuple[list[str], int]:
+    """Order ``ids``: each pick is the first id hitting the most groups not yet hit.
+
+    Returns the order and how many picks hit a new group; the rest keep
+    the order of ``ids``.
+    """
+    unhit = {t: {g for g, members in groups.items() if t in members} for t in ids}
+    order: list[str] = []
+    while unhit:
+        best = max(unhit, key=lambda t: len(unhit[t]))
+        if not unhit[best]:
+            break
+        hit = unhit.pop(best)
+        order.append(best)
+        for rest in unhit.values():
+            rest -= hit
+    return order + list(unhit), len(order)
 
 
 def _restricted_coverage(
@@ -55,11 +78,11 @@ def rtm_minimize(
 ) -> frozenset[str]:
     """A set of candidate tests fulfilling every requirement.
 
-    ``candidates`` may be test ids or test cases. The greedy engine picks
-    the test covering the most still-uncovered requirements (ties by id)
-    until all are covered. The exact engine enumerates subsets in
-    size-then-lexicographic order and is guarded to 15 candidates; use it
-    for oracle comparisons only.
+    ``candidates`` may be test ids or test cases. The greedy engine,
+    ``additional_greedy``, picks the test covering the most still-uncovered
+    requirements (ties by id) until all are covered. The exact engine
+    enumerates subsets in size-then-lexicographic order and is guarded to
+    15 candidates; use it for oracle comparisons only.
     """
     candidate_ids = frozenset(t if isinstance(t, str) else t.id for t in candidates)
     table = _restricted_coverage(candidate_ids, coverage)
@@ -82,18 +105,8 @@ def rtm_minimize(
     if engine != "greedy":
         raise ConfigurationError(f"unknown engine {engine!r}", field="engine")
 
-    uncovered = set(table)
-    chosen: set[str] = set()
-    while uncovered:
-        best_id, best_gain = None, -1
-        for test_id in sorted(candidate_ids):
-            gain = sum(1 for story in uncovered if test_id in table[story])
-            if gain > best_gain:
-                best_id, best_gain = test_id, gain
-        assert best_id is not None and best_gain > 0
-        chosen.add(best_id)
-        uncovered -= {story for story in uncovered if best_id in table[story]}
-    return frozenset(chosen)
+    order, covering = additional_greedy(sorted(candidate_ids), table)
+    return frozenset(order[:covering])
 
 
 def rts_select(
@@ -142,13 +155,20 @@ def rtp_prioritize(
     and returns the argmax; ties keep the lexicographically-first order
     because enumeration runs in lexicographic order and only strict
     improvements replace the incumbent. The greedy engine repeatedly
-    appends the test whose prefix scores highest, ties by id.
+    appends the test whose prefix scores highest, ties by id; for a metric
+    with ``groups`` that is ``additional_greedy``, with no ``evaluate`` call.
+    A repeated candidate id raises ``ConfigurationError``.
     """
-    durations = {t.id: t.duration for t in candidates}
+    durations: dict[str, int] = {}
+    for t in candidates:
+        if t.id in durations:
+            raise ConfigurationError(f"test {t.id!r} is repeated", field="candidates")
+        durations[t.id] = t.duration
     ids = sorted(durations)
     if not ids:
         return Schedule.empty(technique=f"rtp-{engine}", metric=metric.name)
 
+    meta: dict[str, object] = {"technique": f"rtp-{engine}", "metric": metric.name}
     if engine == "exact":
         if len(ids) > 8:
             raise EngineLimitError(
@@ -156,36 +176,23 @@ def rtp_prioritize(
             )
         best_order: tuple[str, ...] | None = None
         best_value = float("-inf")
-        for order in permutations(ids):
-            value = metric.evaluate(order, ctx)
+        for perm in permutations(ids):
+            value = metric.evaluate(perm, ctx)
             if value > best_value:
-                best_order, best_value = order, value
+                best_order, best_value = perm, value
         assert best_order is not None
-        return Schedule(
-            best_order,
-            sum(durations[i] for i in best_order),
-            {"technique": "rtp-exact", "metric": metric.name, "value": best_value},
-        )
-
-    if engine != "greedy":
+        order, meta["value"] = list(best_order), best_value
+    elif engine != "greedy":
         raise ConfigurationError(f"unknown engine {engine!r}", field="engine")
-
-    order: list[str] = []
-    remaining = list(ids)
-    while remaining:
-        best_id, best_value = None, float("-inf")
-        for test_id in remaining:
-            value = metric.evaluate(order + [test_id], ctx)
-            if value > best_value:
-                best_id, best_value = test_id, value
-        assert best_id is not None
-        order.append(best_id)
-        remaining.remove(best_id)
-    return Schedule(
-        tuple(order),
-        sum(durations[i] for i in order),
-        {"technique": "rtp-greedy", "metric": metric.name},
-    )
+    elif metric.groups is not None:
+        order, _ = additional_greedy(ids, metric.groups(ctx))
+    else:
+        order, remaining = [], list(ids)
+        while remaining:
+            best = max(remaining, key=lambda t: metric.evaluate(order + [t], ctx))
+            order.append(best)
+            remaining.remove(best)
+    return Schedule(tuple(order), sum(durations.values()), meta)
 
 
 def schedule_under_budget(

@@ -158,3 +158,44 @@ def ttcp_exact_oracle(candidates, budget, priorities=None) -> tuple[tuple[str, .
             if total <= budget:
                 return tuple(t.id for t in ordering), total
     raise AssertionError("unreachable: the empty ordering always fits")
+
+
+def rtp_greedy_oracle(candidates, metric, ctx) -> tuple[str, ...]:
+    """Greedy prioritization by scoring every candidate prefix.
+
+    Each step appends the remaining test whose prefix scores strictly
+    highest, scanning in id order, so ties go to the smallest id.
+    """
+    order: list[str] = []
+    remaining = sorted(t.id for t in candidates)
+    while remaining:
+        best_id, best_value = None, float("-inf")
+        for test_id in remaining:
+            value = metric.evaluate(order + [test_id], ctx)
+            if value > best_value:
+                best_id, best_value = test_id, value
+        assert best_id is not None
+        order.append(best_id)
+        remaining.remove(best_id)
+    return tuple(order)
+
+
+def rtm_greedy_oracle(candidate_ids, coverage) -> frozenset[str]:
+    """Greedy set cover: the candidate covering most uncovered stories, ties by id.
+
+    Every story must have a covering test among ``candidate_ids``.
+    """
+    candidate_ids = frozenset(candidate_ids)
+    table = {story: frozenset(tests) & candidate_ids for story, tests in coverage.items()}
+    uncovered = set(table)
+    chosen: set[str] = set()
+    while uncovered:
+        best_id, best_gain = None, -1
+        for test_id in sorted(candidate_ids):
+            gain = sum(1 for story in uncovered if test_id in table[story])
+            if gain > best_gain:
+                best_id, best_gain = test_id, gain
+        assert best_id is not None and best_gain > 0
+        chosen.add(best_id)
+        uncovered -= {story for story in uncovered if best_id in table[story]}
+    return frozenset(chosen)

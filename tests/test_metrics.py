@@ -75,6 +75,27 @@ class TestApfdEdges:
         assert 0 < value < 1 + 1 / (2 * n)
         assert value == apfd_area_oracle(order, faults)
 
+    def test_repeated_test_counts_at_its_first_position(self):
+        order = ["a", "b", "a"]
+        assert first_detection_positions(order, {"f": {"a"}}) == {"f": 1}
+        assert apfd(order, {"f": {"a"}}) == 5 / 6
+
+    @given(
+        st.lists(st.sampled_from([f"t{i}" for i in range(60)]), min_size=1, max_size=60),
+        st.dictionaries(
+            st.integers(0, 40),
+            st.frozensets(st.sampled_from([f"t{i}" for i in range(70)]), max_size=5),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_equals_the_rational_formula_rounded_once(self, order, faults):
+        # Repeats in the order and detectors outside it are allowed.
+        n, m = len(order), len(faults)
+        tf_sum = sum(first_detection_positions(order, faults).values())
+        assert apfd(order, faults) == float(1 - Fraction(tf_sum, n * m) + Fraction(1, 2 * n))
+
     def test_moving_detector_earlier_improves(self):
         faults = {"f1": {"t3"}}
         later = apfd(["t1", "t2", "t3"], faults)

@@ -3,10 +3,10 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import min_cover_oracle, tc, two_builds
+from helpers import min_cover_oracle, rtm_greedy_oracle, rtp_greedy_oracle, tc, two_builds
 from regsched import (
     MetricContext,
     QualityMetric,
@@ -14,6 +14,7 @@ from regsched import (
     Schedule,
     apfd_metric,
     build_graph,
+    metric_by_name,
     rtm_minimize,
     rtp_prioritize,
     rts_select,
@@ -22,7 +23,17 @@ from regsched import (
 from regsched.errors import (
     ConfigurationError,
     EngineLimitError,
+    UndefinedMetricError,
     UnsatisfiableRequirementError,
+)
+from regsched.techniques import additional_greedy
+
+# Candidate ids, plus two detectors that are never candidates.
+POOL = [f"t{i}" for i in range(10)] + ["x0", "x1"]
+GROUP_MAPS = st.dictionaries(
+    st.sampled_from([f"g{j}" for j in range(6)]),
+    st.frozensets(st.sampled_from(POOL), max_size=4),
+    max_size=6,
 )
 
 
@@ -78,6 +89,16 @@ class TestMinimize:
         exact = rtm_minimize(ids, coverage, engine="exact")
         assert len(exact) == optimum
 
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), GROUP_MAPS)))
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_equals_the_hand_written_oracle(self, case):
+        n, raw = case
+        ids = [f"t{i}" for i in range(n)]
+        # Every story keeps one candidate so that it can be covered; the
+        # draw adds ties, detectors outside the candidates and no stories.
+        coverage = {story: tests | {ids[int(story[1:]) % n]} for story, tests in raw.items()}
+        assert rtm_minimize(ids, coverage) == rtm_greedy_oracle(ids, coverage)
+
 
 class TestSelect:
     def test_retest_all_is_identity(self):
@@ -125,6 +146,23 @@ def apfd_ctx(faults):
     return MetricContext(faults={f: frozenset(d) for f, d in faults.items()})
 
 
+def outcome(run):
+    try:
+        return run()
+    except UndefinedMetricError as exc:
+        return f"undefined: {exc}"
+
+
+class TestAdditionalGreedy:
+    def test_takes_the_largest_gain_then_the_rest_in_given_order(self):
+        groups = {"f1": {"b", "c"}, "f2": {"c"}, "f3": {"a", "b"}, "f4": {"zz"}}
+        # b and c tie on two faults and b comes first; then only c hits f2.
+        assert additional_greedy(["a", "b", "c", "d"], groups) == (["b", "c", "a", "d"], 2)
+
+    def test_no_groups_keeps_the_given_order(self):
+        assert additional_greedy(["b", "a"], {}) == (["b", "a"], 0)
+
+
 class TestPrioritize:
     def test_single_test_is_the_only_order(self):
         sched = rtp_prioritize([tc("a")], apfd_metric(), ctx=apfd_ctx({"f": {"a"}}))
@@ -147,6 +185,52 @@ class TestPrioritize:
         flat = QualityMetric("flat", lambda order, ctx: 1.0)
         sched = rtp_prioritize([tc("b"), tc("a"), tc("c")], flat, engine="exact")
         assert sched.ids == ("a", "b", "c")
+
+    @pytest.mark.parametrize("engine", ["greedy", "exact"])
+    def test_repeated_candidate_id_is_rejected(self, engine):
+        tests = [tc("a", 1, 0), tc("a", 5, 0), tc("b", 1, 0)]
+        with pytest.raises(ConfigurationError, match="'a'") as exc:
+            rtp_prioritize(tests, apfd_metric(), engine, ctx=apfd_ctx({"f": {"a"}}))
+        assert exc.value.field == "candidates"
+
+    @given(
+        st.lists(st.sampled_from(POOL[:10]), unique=True, max_size=10),
+        st.lists(st.integers(0, 3), min_size=10, max_size=10),
+        GROUP_MAPS,
+        GROUP_MAPS,
+        st.sampled_from(["apfd", "fault-count", "coverage"]),
+    )
+    @example(["t2", "t0", "t1"], [0] * 10, {}, {}, "apfd")
+    @example(["t2", "t0", "t1"], [0] * 10, {}, {}, "coverage")
+    @example(
+        ["t1", "t0", "t2"],
+        [0, 2] + [1] * 8,
+        {
+            "g0": frozenset({"t0", "t1"}),
+            "g1": frozenset({"t0", "t1", "x0"}),
+            "g2": frozenset({"x1"}),
+        },
+        {},
+        "fault-count",
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_equals_the_prefix_scoring_oracle(self, ids, costs, faults, coverage, name):
+        # Candidates come in any order with costs that may be zero; groups
+        # may be empty, share detectors (tied gains) or name detectors
+        # that are not candidates. Without faults apfd must raise on both
+        # sides; without stories coverage keeps the id order.
+        tests = [tc(i, exectime=cost, setup=0) for i, cost in zip(ids, costs)]
+        ctx = MetricContext(faults=faults, coverage=coverage)
+        builtin = metric_by_name(name)
+        no_groups = QualityMetric(f"{name}-no-groups", builtin.fn)
+        oracle = outcome(lambda: rtp_greedy_oracle(tests, builtin, ctx))
+        for metric in (builtin, no_groups):
+            got = outcome(lambda: rtp_prioritize(tests, metric, "greedy", ctx=ctx))
+            if isinstance(oracle, str):
+                assert got == oracle
+            else:
+                assert got.ids == oracle
+                assert got.total_cost == sum(t.duration for t in tests)
 
     def test_exact_guard_suggests_greedy(self):
         tests = [tc(f"t{i}") for i in range(9)]
