@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidCostError, OracleLimitError
+from .errors import ConfigurationError, InvalidCostError, OracleLimitError
 from .model import TestCase
 
 
@@ -125,6 +125,20 @@ def cost(t: TestCase) -> int:
     return total
 
 
+def durations_by_id(candidates: Iterable[TestCase]) -> dict[str, int]:
+    """Each candidate's duration keyed by its id, in candidate order.
+
+    A schedule holds a test at most once, so a repeated id raises
+    :class:`ConfigurationError` naming ``candidates``.
+    """
+    durations: dict[str, int] = {}
+    for t in candidates:
+        if t.id in durations:
+            raise ConfigurationError(f"test {t.id!r} is repeated", field="candidates")
+        durations[t.id] = t.duration
+    return durations
+
+
 def scope(candidates: Iterable[TestCase], window: Rtw) -> ScopeResult:
     """Largest number of candidates whose total cost fits the window.
 
@@ -135,9 +149,12 @@ def scope(candidates: Iterable[TestCase], window: Rtw) -> ScopeResult:
     sorted ascending. The answer is the longest affordable prefix.
 
     The witness is deterministic: equal-cost tests are taken in id
-    order. An unbounded window admits the whole candidate set.
+    order. An unbounded window admits the whole candidate set. A repeated
+    id raises ``ConfigurationError``; a zero-cost test ``InvalidCostError``.
     """
-    priced = sorted((cost(t), t.id) for t in candidates)
+    priced = sorted((d, test_id) for test_id, d in durations_by_id(candidates).items())
+    if priced and priced[0][0] == 0:
+        raise InvalidCostError(f"test {priced[0][1]!r} has zero total duration")
     budget = window.budget()
     if budget is None:
         return ScopeResult(

@@ -10,11 +10,15 @@ The history schema (``"schema": 1``) records a chain and its side data:
 * ``coverage``  - story_id -> test_ids
 * ``faults``    - fault_id -> detecting_test_ids
 
-Validation reports the JSON path of the offending field. Serialization
-is canonical (sorted keys and rows), so identical models produce
-identical bytes. The schema carries no iteration or release data; an
-ingested chain gets one iteration spanning all builds (the generator
-emits the same shape, so a serialize/ingest round trip is exact). An
+Validation reports the JSON path of the offending field. Builds repeat
+their story and test rows, and a parse validates and builds each
+distinct row once: every copy shares that one ``UserStory`` or
+``TestCase``, and per-build checks still run on each copy. Serialization
+is canonical (sorted keys and rows, ``json.dumps(sort_keys=True,
+indent=2) + "\\n"``), so identical models produce identical bytes. The
+schema carries no iteration or release data; an ingested chain gets one
+iteration spanning all builds (the generator emits the same shape, so a
+serialize/ingest round trip is exact). An
 execution history is derived only on request, never on ingest: each
 consecutive pair gives one verdict per shared test.
 """
@@ -23,9 +27,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .depgraph import build_graph
 from .errors import HistoryFormatError, ReferentialIntegrityError
@@ -155,6 +162,22 @@ def _expect_test_ids(mapping: object, key: str, path: str, known: set[str]) -> f
     return frozenset(ids)
 
 
+def _shared_row(table: dict, row: object) -> tuple[tuple | None, object]:
+    """A row's table key and the object already built for it, if any.
+
+    The key is the row's items plus each value's type, because ``1``,
+    ``1.0`` and ``true`` compare equal. A row that is not a dict, or that
+    holds a list or dict value, has no key and is left to the validators.
+    """
+    if type(row) is not dict:
+        return None, None
+    key = (*row.items(), *map(type, row.values()))
+    try:
+        return key, table.get(key)
+    except TypeError:
+        return None, None
+
+
 def _derive_fault_births(chain: BuildChain, faults: dict[str, frozenset[str]]) -> dict[str, int]:
     """First build where any detecting test's outcome diverges."""
     births: dict[str, int] = {}
@@ -197,6 +220,10 @@ def _parse_bundle(data: dict) -> HistoryBundle:
         behavior.setdefault(pid, {})[test_id] = outcome
 
     programs: dict[int, ProgramVersion] = {}
+    # Each distinct story or test row is validated and built once; its later
+    # copies share that object. A row that fails validation never enters.
+    story_rows: dict[tuple, UserStory] = {}
+    test_rows: dict[tuple, TestCase] = {}
     builds: list[Build] = []
     all_test_ids: set[str] = set()
     all_story_ids: set[str] = set()
@@ -209,28 +236,36 @@ def _parse_bundle(data: dict) -> HistoryBundle:
         ready_at = _expect_int(row, "ready_at", path, minimum=0)
         stories: dict[str, UserStory] = {}
         for m, srow in enumerate(_expect_list(row, "stories", path)):
-            spath = f"{path}.stories[{m}]"
-            story = UserStory(
-                id=_expect_str(srow, "id", spath),
-                bv=_expect_number(srow, "bv", spath, minimum=0),
-                sp=_expect_number(srow, "sp", spath, minimum=0),
-            )
+            key, story = _shared_row(story_rows, srow)
+            if story is None:
+                spath = f"{path}.stories[{m}]"
+                story = UserStory(
+                    id=_expect_str(srow, "id", spath),
+                    bv=_expect_number(srow, "bv", spath, minimum=0),
+                    sp=_expect_number(srow, "sp", spath, minimum=0),
+                )
+                # A zero is not shared: 0.0 and -0.0 compare equal but print differently.
+                if key is not None and story.bv and story.sp:
+                    story_rows[key] = story
             if stories.setdefault(story.id, story) != story:
                 raise HistoryFormatError(
-                    f"{spath}.id: story {story.id!r} repeats with different values"
+                    f"{path}.stories[{m}].id: story {story.id!r} repeats with different values"
                 )
         tests = []
         for m, trow in enumerate(_expect_list(row, "tests", path)):
-            tpath = f"{path}.tests[{m}]"
-            tests.append(
-                TestCase(
+            key, test = _shared_row(test_rows, trow)
+            if test is None:
+                tpath = f"{path}.tests[{m}]"
+                test = TestCase(
                     id=_expect_str(trow, "id", tpath),
                     inp=_expect_str(trow, "inp", tpath),
                     expected=_expect_str(trow, "expected", tpath),
                     exectime=_expect_int(trow, "exectime", tpath, minimum=0),
                     setup=_expect_int(trow, "setup", tpath, minimum=0),
                 )
-            )
+                if key is not None:
+                    test_rows[key] = test
+            tests.append(test)
         if pid not in behavior:
             raise ReferentialIntegrityError(f"{path}: program {pid} has no behavior entries")
         for t in tests:
@@ -324,8 +359,97 @@ def dump_history(bundle: HistoryBundle, path: str | Path) -> None:
 
 
 def dumps_canonical(data: dict) -> str:
-    """Deterministic JSON bytes for a JSON-ready dict."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON text: ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``.
+
+    From CPython 3.13 the stdlib's C encoder handles ``indent``, so this is
+    that call. Before 3.13, ``indent`` forces the pure-Python encoder, and
+    :func:`encode_indented` writes the same text a table at a time.
+    """
+    if sys.version_info >= (3, 13):
+        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return encode_indented(data) + "\n"
+
+
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def encode_indented(value: object) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, built from C-encoder calls.
+
+    A dict of scalars, a list of scalars and a list of non-empty dicts of
+    scalars (a table) each take one C-encoder call whose item separator is
+    the newline and indent of their level. With ASCII escaping every raw
+    newline in the output is structural, so a table needs only fixed string
+    edits between its rows. Other dicts and lists recurse; a dict with a
+    non-string key and any other type go to the stdlib, re-indented to
+    their level.
+    """
+    parts: list[str] = []
+    encoders: dict[int, Callable[[object], str]] = {}
+
+    def flat(node: object, level: int) -> str:
+        """One C-encoder call, items separated at ``level``."""
+        encode = encoders.get(level)
+        if encode is None:
+            sep = ",\n" + "  " * level
+            encode = encoders[level] = json.JSONEncoder(
+                sort_keys=True, separators=(sep, ": ")
+            ).encode
+        return encode(node)
+
+    def write(node: object, level: int) -> None:
+        kind = type(node)
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        if kind in _SCALAR_TYPES:
+            parts.append(flat(node, level))
+        elif kind is dict and set(map(type, node)) <= {str}:
+            if not node:
+                parts.append("{}")
+            elif set(map(type, node.values())) <= _SCALAR_TYPES:
+                parts.append("{" + inner + flat(node, level + 1)[1:-1] + outer + "}")
+            else:
+                sep = "{" + inner
+                for key in sorted(node):
+                    parts.append(sep + encode_basestring_ascii(key) + ": ")
+                    write(node[key], level + 1)
+                    sep = "," + inner
+                parts.append(outer + "}")
+        elif kind is list or kind is tuple:
+            kinds = set(map(type, node))
+            if not node:
+                parts.append("[]")
+            elif kinds <= _SCALAR_TYPES:
+                parts.append("[" + inner + flat(node, level + 1)[1:-1] + outer + "]")
+            elif kinds == {dict} and _is_table(node):
+                # Rows come out as "{..." + ",\n<row indent>" + "...}": put each
+                # brace on its own line, one level out from the row's items.
+                row = inner + "  "
+                body = flat(node, level + 2)[2:-2]
+                body = body.replace("}," + row + "{", inner + "}," + inner + "{" + row)
+                parts.append("[" + inner + "{" + row + body + inner + "}" + outer + "]")
+            else:
+                sep = "[" + inner
+                for item in node:
+                    parts.append(sep)
+                    write(item, level + 1)
+                    sep = "," + inner
+                parts.append(outer + "]")
+        else:
+            parts.append(json.dumps(node, sort_keys=True, indent=2).replace("\n", outer))
+
+    write(value, 0)
+    return "".join(parts)
+
+
+def _is_table(rows: list | tuple) -> bool:
+    """Every row a non-empty dict with string keys and scalar values."""
+    return (
+        all(rows)
+        and set(map(type, itertools.chain.from_iterable(rows))) == {str}
+        and set(map(type, itertools.chain.from_iterable(map(dict.values, rows))))
+        <= _SCALAR_TYPES
+    )
 
 
 # --- run reports -----------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .budget import Rtw, Schedule, feasible_prefix
+from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
 from .errors import (
     ConfigurationError,
     EngineLimitError,
@@ -142,9 +142,10 @@ def ttcp(
     per unit cost, zero-cost tests first (they always fit), and keeps the
     longest feasible prefix. No result depends on ``metric`` or ``ctx``. An
     unbounded window gives the full priority ordering; a window too small
-    for any test gives an empty schedule flagged ``budget_starved``.
+    for any test gives an empty schedule flagged ``budget_starved``. A
+    repeated candidate id raises ``ConfigurationError``.
     """
-    durations = {t.id: t.duration for t in candidates}
+    durations = durations_by_id(candidates)
 
     def by_priority(t: TestCase) -> tuple[float, str]:
         return -_priority(t.id, priorities), t.id

@@ -19,7 +19,7 @@ import random
 from itertools import combinations, permutations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .budget import Rtw, Schedule, feasible_prefix
+from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
 from .depgraph import DepGraph, affected_tests
 from .errors import ConfigurationError, EngineLimitError, UnsatisfiableRequirementError
 from .metrics import MetricContext, QualityMetric
@@ -159,11 +159,7 @@ def rtp_prioritize(
     with ``groups`` that is ``additional_greedy``, with no ``evaluate`` call.
     A repeated candidate id raises ``ConfigurationError``.
     """
-    durations: dict[str, int] = {}
-    for t in candidates:
-        if t.id in durations:
-            raise ConfigurationError(f"test {t.id!r} is repeated", field="candidates")
-        durations[t.id] = t.duration
+    durations = durations_by_id(candidates)
     ids = sorted(durations)
     if not ids:
         return Schedule.empty(technique=f"rtp-{engine}", metric=metric.name)

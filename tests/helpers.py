@@ -7,6 +7,7 @@ tests never assert an implementation against itself.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -199,3 +200,8 @@ def rtm_greedy_oracle(candidate_ids, coverage) -> frozenset[str]:
         chosen.add(best_id)
         uncovered -= {story for story in uncovered if best_id in table[story]}
     return frozenset(chosen)
+
+
+def dumps_canonical_oracle(data) -> str:
+    """The canonical history, trace and report text, by its definition."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

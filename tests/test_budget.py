@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import tc
 from regsched import Rtw, Schedule, cost, feasible_prefix, scope, scope_bruteforce
-from regsched.errors import InvalidCostError, OracleLimitError
+from regsched.errors import ConfigurationError, InvalidCostError, OracleLimitError
 
 costs_strategy = st.lists(st.integers(1, 20), min_size=0, max_size=8)
 
@@ -65,6 +65,15 @@ class TestScope:
     def test_invalid_cost_propagates(self):
         with pytest.raises(InvalidCostError):
             scope([tc("a", exectime=0, setup=0)], Rtw.of_budget(5))
+
+    @pytest.mark.parametrize(
+        "window", [Rtw.of_budget(10), Rtw.unbounded()], ids=["bounded", "unbounded"]
+    )
+    def test_repeated_candidate_id_is_rejected(self, window):
+        tests = [tc("a", 1, 0), tc("a", 5, 0), tc("b", 1, 0)]
+        with pytest.raises(ConfigurationError, match="'a'") as exc:
+            scope(tests, window)
+        assert exc.value.field == "candidates"
 
     def test_witness_ties_break_by_id(self):
         tests = [tc("b", exectime=4, setup=0), tc("a", exectime=4, setup=0)]

@@ -1,10 +1,18 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsched import ScenarioConfig, generate_chain
 from regsched.cli import main
-from regsched.histio import dump_history, load_report, load_trace
+from regsched.histio import dump_history, load_report, load_trace, serialize_history
 
 
 @pytest.fixture
@@ -464,3 +472,91 @@ def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- single-field mutations at the file boundary -----------------------------
+
+REMOVE = object()
+FUZZ_VALUES = [True, 1.0, "1", "x", [1], {}, None, "", -1, 0, 10**12, REMOVE]
+FUZZ_HISTORY = serialize_history(
+    generate_chain(ScenarioConfig(seed=12, n_builds=4, fault_rate=0.5))
+)
+RECORD_ARGS = ("--strategy", "retecs", "--metric", "fault-count", "--window", "40")
+
+
+def _paths(node, prefix=()):
+    """The path of every field and list item below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is REMOVE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _run_quietly(*argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+@lru_cache(maxsize=None)
+def _recorded_trace():
+    with tempfile.TemporaryDirectory() as tmp:
+        history, trace = Path(tmp) / "history.json", Path(tmp) / "trace.json"
+        history.write_text(json.dumps(FUZZ_HISTORY))
+        code, err = _run_quietly(
+            "trace", "record", "--history", history, *RECORD_ARGS, "--out", trace
+        )
+        assert code == 0, err
+        return json.loads(trace.read_text())
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+class TestFileBoundaryFuzz:
+    @given(st.sampled_from(list(_paths(FUZZ_HISTORY))), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_history_through_trace_record(self, path, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            history = Path(tmp) / "history.json"
+            history.write_text(json.dumps(_mutated(FUZZ_HISTORY, path, value)))
+            _assert_clean_exit(
+                *_run_quietly(
+                    "trace", "record", "--history", history, *RECORD_ARGS,
+                    "--out", Path(tmp) / "trace.json",
+                )
+            )
+
+    @given(st.sampled_from(list(_paths(_recorded_trace()))), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_trace_through_trace_replay(self, path, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            history, trace = Path(tmp) / "history.json", Path(tmp) / "trace.json"
+            history.write_text(json.dumps(FUZZ_HISTORY))
+            trace.write_text(json.dumps(_mutated(_recorded_trace(), path, value)))
+            _assert_clean_exit(
+                *_run_quietly("trace", "replay", "--history", history, "--trace", trace)
+            )

@@ -26,6 +26,7 @@ from regsched import (
 )
 from regsched.errors import (
     BuildOrderError,
+    ConfigurationError,
     IncompleteVerdictsError,
 )
 
@@ -116,6 +117,16 @@ class TestTtcp:
         assert sched.total_cost == sum(t.duration for t in tests if t.id in chosen)
         assert sched.total_cost <= budget
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("engine", ["greedy", "exact"])
+    @pytest.mark.parametrize(
+        "window", [Rtw.of_budget(10), Rtw.unbounded()], ids=["bounded", "unbounded"]
+    )
+    def test_repeated_candidate_id_is_rejected(self, engine, window):
+        tests = [tc("a", 1, 0), tc("a", 5, 0), tc("b", 1, 0)]
+        with pytest.raises(ConfigurationError, match="'a'") as exc:
+            ttcp(tests, METRIC, window, engine=engine)
+        assert exc.value.field == "candidates"
 
     def test_unbounded_window_runs_everything(self):
         tests = suite([3, 4, 5])
