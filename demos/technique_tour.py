@@ -15,13 +15,13 @@ from regsched import (
     apfd,
     apfd_metric,
     build_graph,
-    candidate_set,
     classify_transition,
+    feasible_prefix,
+    ordered_candidates,
     reg_all,
     rtm_minimize,
     rtp_prioritize,
     rts_select,
-    schedule_under_budget,
 )
 
 
@@ -57,9 +57,9 @@ def make_transition():
 
 def main():
     before, after = make_transition()
-    candidates = candidate_set(before, after)
+    candidates = ordered_candidates(before, after)
     print(f"transition kind: {classify_transition(before, after).value}")
-    print(f"candidates: {sorted(t.id for t in candidates)}\n")
+    print(f"candidates: {[t.id for t in candidates]}\n")
 
     coverage = {
         "s-payments": {"t-api", "t-db"},
@@ -82,7 +82,7 @@ def main():
 
     faults = {"bug-42": frozenset({"t-db"})}
     ordered = rtp_prioritize(
-        sorted(candidates, key=lambda t: t.id),
+        candidates,
         apfd_metric(),
         engine="exact",
         ctx=MetricContext(faults=faults),
@@ -91,8 +91,8 @@ def main():
     print(f"  apfd of that order: {apfd(ordered.ids, faults):.3f}")
 
     durations = {t.id: t.duration for t in candidates}
-    clipped = schedule_under_budget(ordered, Rtw.of_budget(15), durations)
-    print(f"  clipped to a budget of 15: {list(clipped.ids)} (cost {clipped.total_cost})")
+    clipped, cost = feasible_prefix(ordered.ids, durations, Rtw.of_budget(15))
+    print(f"  clipped to a budget of 15: {list(clipped)} (cost {cost})")
 
     report = reg_all(before, after, Rtw.unbounded())
     print(f"\nfull-overlap comparison: result={report.result}, "

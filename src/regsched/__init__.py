@@ -8,7 +8,7 @@ build and replays exactly. A seeded simulator generates whole chains for
 experiments.
 """
 
-from .budget import Rtw, Schedule, ScopeResult, cost, feasible_prefix, scope, scope_bruteforce
+from .budget import Rtw, Schedule, ScopeResult, feasible_prefix, scope, scope_bruteforce
 from .depgraph import (
     ChangeSet,
     DepGraph,
@@ -55,7 +55,6 @@ from .model import (
     TransitionDeltas,
     TransitionKind,
     UserStory,
-    candidate_set,
     classify_region,
     classify_transition,
     diverged_tests,
@@ -100,7 +99,6 @@ from .techniques import (
     rtm_minimize,
     rtp_prioritize,
     rts_select,
-    schedule_under_budget,
 )
 from .trace import (
     CompletenessReport,

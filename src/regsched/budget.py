@@ -35,10 +35,6 @@ class Rtw:
             raise ValueError("window end precedes its start")
 
     @classmethod
-    def bounded(cls, start: int, end: int) -> "Rtw":
-        return cls(start, end)
-
-    @classmethod
     def unbounded(cls, start: int = 0) -> "Rtw":
         return cls(start, None)
 
@@ -117,14 +113,6 @@ def feasible_prefix(
     return tuple(kept), running
 
 
-def cost(t: TestCase) -> int:
-    """A test's cost: execution time plus setup time, strictly positive."""
-    total = t.exectime + t.setup
-    if total <= 0:
-        raise InvalidCostError(f"test {t.id!r} has zero total duration")
-    return total
-
-
 def durations_by_id(candidates: Iterable[TestCase]) -> dict[str, int]:
     """Each candidate's duration keyed by its id, in candidate order.
 
@@ -136,6 +124,15 @@ def durations_by_id(candidates: Iterable[TestCase]) -> dict[str, int]:
         if t.id in durations:
             raise ConfigurationError(f"test {t.id!r} is repeated", field="candidates")
         durations[t.id] = t.duration
+    return durations
+
+
+def _priced(candidates: Iterable[TestCase]) -> dict[str, int]:
+    """:func:`durations_by_id`; a zero-cost test raises ``InvalidCostError`` naming the smallest."""
+    durations = durations_by_id(candidates)
+    free = [test_id for test_id, d in durations.items() if d == 0]
+    if free:
+        raise InvalidCostError(f"test {min(free)!r} has zero total duration")
     return durations
 
 
@@ -152,24 +149,10 @@ def scope(candidates: Iterable[TestCase], window: Rtw) -> ScopeResult:
     order. An unbounded window admits the whole candidate set. A repeated
     id raises ``ConfigurationError``; a zero-cost test ``InvalidCostError``.
     """
-    priced = sorted((d, test_id) for test_id, d in durations_by_id(candidates).items())
-    if priced and priced[0][0] == 0:
-        raise InvalidCostError(f"test {priced[0][1]!r} has zero total duration")
-    budget = window.budget()
-    if budget is None:
-        return ScopeResult(
-            count=len(priced),
-            witness=tuple(sorted(i for _, i in priced)),
-            total_cost=sum(c for c, _ in priced),
-        )
-    running = 0
-    chosen: list[str] = []
-    for c, test_id in priced:
-        if running + c > budget:
-            break
-        running += c
-        chosen.append(test_id)
-    return ScopeResult(count=len(chosen), witness=tuple(sorted(chosen)), total_cost=running)
+    durations = _priced(candidates)
+    cheapest_first = sorted(durations, key=lambda test_id: (durations[test_id], test_id))
+    chosen, total = feasible_prefix(cheapest_first, durations, window)
+    return ScopeResult(count=len(chosen), witness=tuple(sorted(chosen)), total_cost=total)
 
 
 def scope_bruteforce(candidates: Iterable[TestCase], window: Rtw, limit: int = 20) -> ScopeResult:
@@ -177,13 +160,15 @@ def scope_bruteforce(candidates: Iterable[TestCase], window: Rtw, limit: int = 2
 
     Guarded to ``limit`` candidates. Prefers higher cardinality, then
     lower total cost, then the earliest subset in bitmask order over
-    id-sorted tests, so results are deterministic.
+    id-sorted tests, so results are deterministic. Repeated ids and
+    zero-cost tests are rejected as in :func:`scope`.
     """
-    tests = sorted(candidates, key=lambda t: t.id)
-    n = len(tests)
+    durations = _priced(candidates)
+    ids = sorted(durations)
+    n = len(ids)
     if n > limit:
         raise OracleLimitError(f"{n} candidates exceed the enumeration guard of {limit}")
-    costs = [cost(t) for t in tests]
+    costs = [durations[i] for i in ids]
     budget = window.budget()
 
     sums = [0] * (1 << n)
@@ -199,5 +184,5 @@ def scope_bruteforce(candidates: Iterable[TestCase], window: Rtw, limit: int = 2
             continue
         if counts[mask] > best_count or (counts[mask] == best_count and sums[mask] < best_sum):
             best_mask, best_count, best_sum = mask, counts[mask], sums[mask]
-    witness = tuple(tests[i].id for i in range(n) if best_mask >> i & 1)
+    witness = tuple(ids[i] for i in range(n) if best_mask >> i & 1)
     return ScopeResult(count=best_count, witness=witness, total_cost=best_sum)

@@ -29,7 +29,7 @@ from .histio import (
     report_to_dict,
 )
 from .metrics import metric_by_name
-from .model import candidate_set, ordered_candidates
+from .model import ordered_candidates
 from .regall import reg_all
 from .simulate import ScenarioConfig, generate_chain, run_scenario_with_trace, scenario_eval_context
 from .strategies import infer_changed_classes, make_strategy
@@ -108,7 +108,7 @@ def _cmd_generate(args) -> int:
 def _cmd_schedule(args) -> int:
     _, b_prev, b_next = _load_transition(args)
     window = _parse_window(args.window)
-    result = scope(candidate_set(b_prev, b_next), window)
+    result = scope(ordered_candidates(b_prev, b_next), window)
     _emit(
         args,
         {
@@ -122,7 +122,7 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_minimize(args) -> int:
     bundle, b_prev, b_next = _load_transition(args)
-    candidates = candidate_set(b_prev, b_next)
+    candidates = ordered_candidates(b_prev, b_next)
     shared_stories = sorted(b_prev.story_ids() & b_next.story_ids())
     coverage = {s: bundle.coverage.get(s, frozenset()) for s in shared_stories}
     chosen = rtm_minimize(candidates, coverage, engine=args.engine)

@@ -29,6 +29,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -147,6 +148,8 @@ def _expect_number(mapping: object, key: str, path: str, minimum: float | None =
     value = _expect(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise HistoryFormatError(f"{path}.{key}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise HistoryFormatError(f"{path}.{key}: expected a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise HistoryFormatError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return value

@@ -347,11 +347,6 @@ def ordered_candidates(b_prev: Build, b_next: Build) -> tuple[TestCase, ...]:
     return tuple(table[i] for i in sorted(b_prev.test_ids() & table.keys()))
 
 
-def candidate_set(b_prev: Build, b_next: Build) -> frozenset[TestCase]:
-    """The regression candidate set, unordered: :func:`ordered_candidates` as a set."""
-    return frozenset(ordered_candidates(b_prev, b_next))
-
-
 def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
     """Shared tests whose outcome differs between the two builds' programs.
 

@@ -22,7 +22,6 @@ kept in a bounded FIFO replay buffer that feeds ``atcs``. One cycle
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
@@ -34,6 +33,7 @@ from .errors import (
 )
 from .metrics import MetricContext, QualityMetric
 from .model import TestCase
+from .trace import Transition
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ def ttcp(
     assert budget is not None
 
     if engine == "exact":
-        k = sum(1 for prefix in accumulate(sorted(durations.values())) if prefix <= budget)
+        k = len(feasible_prefix(sorted(durations, key=durations.__getitem__), durations, window)[0])
         base = sorted(candidates, key=by_priority)
         ids: tuple[str, ...] = ()
         total = 0
@@ -194,21 +194,18 @@ def atcs(
     metric: QualityMetric,
     window: Rtw,
     *,
-    candidates: Sequence[TestCase],
-    fallback: Schedule,
-) -> Schedule:
+    durations: Mapping[str, int],
+) -> Schedule | None:
     """Pick the historical sequence with the best recorded quality.
 
-    Each past sequence is filtered to the current candidate set,
-    truncated to the longest feasible prefix, and re-scored with the
-    metric against that run's own recorded failures (so comparisons stay
-    on one scale even after truncation). The best score wins; ties go to
-    the most recent sequence. With no usable history the ``fallback``
-    schedule (normally the ttcp output) is returned unchanged.
+    ``durations`` prices the current candidates by id. Each past sequence
+    is filtered to those candidates, truncated to the longest feasible
+    prefix, and re-scored with the metric against that run's own recorded
+    failures (so comparisons stay on one scale even after truncation).
+    The best score wins; ties go to the most recent sequence. ``None``
+    means no entry kept a test: the history is empty, or every entry
+    filtered or truncated to nothing.
     """
-    if not history:
-        return fallback
-    durations = {t.id: t.duration for t in candidates}
     best: tuple[float, int] | None = None
     best_ids: tuple[str, ...] = ()
     best_cost = 0
@@ -225,13 +222,12 @@ def atcs(
         if best is None or key > best:
             best, best_ids, best_cost = key, ids, total
     if best is None:
-        return fallback
+        return None
     return Schedule(best_ids, best_cost, {"technique": "atcs", "score": best[0]})
 
 
 def plan_schedule(
-    candidates: Sequence[TestCase],
-    window: Rtw,
+    transition: Transition,
     state: AgentState,
     metric: QualityMetric,
     engine: str = "greedy",
@@ -240,18 +236,20 @@ def plan_schedule(
 
     The ttcp ordering (driven by learned weights) forms the head of the
     schedule; whatever budget remains is filled with tests from the atcs
-    pick that are not already scheduled, in the pick's order. Under an
+    pick that are not already scheduled, in the pick's order. Priorities,
+    the atcs pick and the fill all price tests by ``transition.durations``.
+    With no atcs pick the ttcp schedule is returned unchanged. Under an
     unbounded window the plan is simply the full candidate ordering, so
     the cycle degenerates to running everything.
     """
-    priorities = {t.id: state.weight(t.id) for t in candidates}
-    base = ttcp(candidates, metric, window, engine, priorities=priorities)
+    window, durations = transition.window, transition.durations
+    priorities = {test_id: state.weight(test_id) for test_id in durations}
+    base = ttcp(transition.candidates, metric, window, engine, priorities=priorities)
     if window.is_unbounded:
         return base
-    pick = atcs(state.buffer, metric, window, candidates=candidates, fallback=base)
-    if pick.ids == base.ids:
+    pick = atcs(state.buffer, metric, window, durations=durations)
+    if pick is None or pick.ids == base.ids:
         return base
-    durations = {t.id: t.duration for t in candidates}
     budget = window.budget()
     assert budget is not None
     merged = list(base.ids)

@@ -102,9 +102,10 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"unknown transition kind {kind!r}", field="transition_mix"
                 )
-            if not _is_number(weight) or weight < 0:
+            # Weights summing to 1 lie in [0, 1]; NaN and infinities do not.
+            if not _is_number(weight) or not 0 <= weight <= 1:
                 raise ConfigurationError(
-                    f"weights must be non-negative numbers, got {weight!r}", field="transition_mix"
+                    f"weights must be numbers in [0, 1], got {weight!r}", field="transition_mix"
                 )
             total += weight
         if abs(total - 1.0) > 1e-9:

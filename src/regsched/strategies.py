@@ -83,9 +83,7 @@ class RetecsStrategy:
         self.state = state if state is not None else AgentState()
 
     def plan(self, transition: Transition) -> Schedule:
-        return plan_schedule(
-            transition.candidates, transition.window, self.state, self.metric, self.engine
-        )
+        return plan_schedule(transition, self.state, self.metric, self.engine)
 
     def observe(self, step: TransitionStep) -> None:
         self.state = agent_update(
@@ -113,7 +111,7 @@ def infer_changed_classes(
 class DepGraphStrategy:
     """Change-impact selection plus failure-history prioritization.
 
-    Holds a static class-level graph and accumulates its own execution
+    Holds a static class-level graph and builds up its own execution
     history across cycles; the history orders the impacted tests.
     """
 

@@ -19,7 +19,7 @@ import random
 from itertools import combinations, permutations
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
-from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
+from .budget import Schedule, durations_by_id
 from .depgraph import DepGraph, affected_tests
 from .errors import ConfigurationError, EngineLimitError, UnsatisfiableRequirementError
 from .metrics import MetricContext, QualityMetric
@@ -31,7 +31,6 @@ __all__ = [
     "rtm_minimize",
     "rts_select",
     "rtp_prioritize",
-    "schedule_under_budget",
 ]
 
 # Requirement coverage: story id -> the candidate tests fulfilling it.
@@ -190,12 +189,3 @@ def rtp_prioritize(
             remaining.remove(best)
     return Schedule(tuple(order), sum(durations.values()), meta)
 
-
-def schedule_under_budget(
-    schedule: Schedule, window: Rtw, durations: Mapping[str, int]
-) -> Schedule:
-    """Truncate an order at the longest prefix fitting the window."""
-    if window.is_unbounded:
-        return schedule
-    kept, running = feasible_prefix(schedule.ids, durations, window)
-    return Schedule(kept, running, dict(schedule.meta))

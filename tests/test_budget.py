@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import tc
-from regsched import Rtw, Schedule, cost, feasible_prefix, scope, scope_bruteforce
+from regsched import Rtw, Schedule, feasible_prefix, scope, scope_bruteforce
+from regsched.budget import durations_by_id
 from regsched.errors import ConfigurationError, InvalidCostError, OracleLimitError
 
 costs_strategy = st.lists(st.integers(1, 20), min_size=0, max_size=8)
@@ -14,15 +15,20 @@ def suite(costs):
 
 
 class TestCost:
+    """A test's cost is its duration, priced by ``durations_by_id``."""
+
     def test_sum_of_exectime_and_setup(self):
-        assert cost(tc("a", exectime=3, setup=2)) == 5
+        assert durations_by_id([tc("a", exectime=3, setup=2)]) == {"a": 5}
 
     def test_zero_total_duration_rejected(self):
-        with pytest.raises(InvalidCostError):
-            cost(tc("a", exectime=0, setup=0))
+        # Pricing reads a zero cost; the operations that need a positive one reject it.
+        assert durations_by_id([tc("a", exectime=0, setup=0)]) == {"a": 0}
+        for operation in (scope, scope_bruteforce):
+            with pytest.raises(InvalidCostError, match="'a'"):
+                operation([tc("a", exectime=0, setup=0)], Rtw.of_budget(5))
 
     def test_zero_setup_allowed(self):
-        assert cost(tc("a", exectime=7, setup=0)) == 7
+        assert durations_by_id([tc("a", exectime=7, setup=0)]) == {"a": 7}
 
 
 class TestRtw:
@@ -63,8 +69,10 @@ class TestScope:
         assert result.total_cost == 15
 
     def test_invalid_cost_propagates(self):
-        with pytest.raises(InvalidCostError):
-            scope([tc("a", exectime=0, setup=0)], Rtw.of_budget(5))
+        # The error names the smallest zero-cost id.
+        tests = [tc("c", 0, 0), tc("a", 2, 0), tc("b", 0, 0)]
+        with pytest.raises(InvalidCostError, match="'b'"):
+            scope(tests, Rtw.of_budget(5))
 
     @pytest.mark.parametrize(
         "window", [Rtw.of_budget(10), Rtw.unbounded()], ids=["bounded", "unbounded"]
@@ -95,6 +103,20 @@ class TestScopeBruteforce:
         with pytest.raises(OracleLimitError):
             scope_bruteforce(suite([1] * 21), Rtw.of_budget(5))
 
+    @pytest.mark.parametrize(
+        "window", [Rtw.of_budget(10), Rtw.unbounded()], ids=["bounded", "unbounded"]
+    )
+    def test_repeated_candidate_id_is_rejected(self, window):
+        tests = [tc("a", 1, 0), tc("a", 5, 0), tc("b", 1, 0)]
+        with pytest.raises(ConfigurationError, match="'a'") as exc:
+            scope_bruteforce(tests, window)
+        assert exc.value.field == "candidates"
+
+    def test_zero_cost_error_names_the_smallest_zero_cost_id(self):
+        tests = [tc("c", 0, 0), tc("a", 2, 0), tc("b", 0, 0)]
+        with pytest.raises(InvalidCostError, match="'b'"):
+            scope_bruteforce(tests, Rtw.of_budget(5))
+
 
 class TestScopeProperties:
     @given(costs_strategy, st.integers(0, 60))
@@ -121,7 +143,7 @@ class TestScopeProperties:
         tests = suite(costs)
         result = scope(tests, Rtw.of_budget(budget))
         by_id = {t.id: t for t in tests}
-        recomputed = sum(cost(by_id[i]) for i in result.witness)
+        recomputed = sum(by_id[i].duration for i in result.witness)
         assert recomputed == result.total_cost <= budget
         assert len(result.witness) == result.count
 

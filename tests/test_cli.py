@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
@@ -95,6 +96,7 @@ class TestSimulate:
             ({"window_policy": "list", "window_values": [10] * 6 + [2.5]}, "window_values"),
             ({"window_policy": "list", "window_values": 10}, "window_values"),
             ({"transition_mix": {"periodic-build": "x", "defect-fix": 0.5}}, "transition_mix"),
+            ({"transition_mix": {"periodic-build": math.nan, "new-feature": 1.0}}, "transition_mix"),
             ({"fault_rate": "x"}, "fault_rate"),
             ({"metric": []}, "metric"),
         ],
@@ -110,6 +112,7 @@ class TestSimulate:
             "window-values-entry-a-float",
             "window-values-not-a-list",
             "mix-weight-not-a-number",
+            "mix-weight-nan",
             "fault-rate-not-a-number",
             "metric-not-a-string",
         ],
@@ -287,6 +290,14 @@ class TestTraceCommands:
             ),
             ("history", ("builds", 0, "stories", 0, "bv"), -1, "$.builds[0].stories[0].bv: "),
             (
+                "history", ("builds", 0, "stories", 0, "bv"), math.nan,
+                "$.builds[0].stories[0].bv: expected a finite number, got nan",
+            ),
+            (
+                "history", ("builds", 0, "stories", 0, "sp"), math.inf,
+                "$.builds[0].stories[0].sp: expected a finite number, got inf",
+            ),
+            (
                 "history", ("coverage", 0, "test_ids", 0), {"id": "t008"},
                 "$.coverage[0].test_ids[0]: ",
             ),
@@ -307,6 +318,8 @@ class TestTraceCommands:
             "schedule-outside-candidates",
             "schedule-over-delta-tau",
             "story-bv-negative",
+            "story-bv-nan",
+            "story-sp-infinity",
             "coverage-test-id-a-dict",
             "detecting-test-id-a-list",
             "story-id-repeated-with-other-values",

@@ -36,3 +36,31 @@ def test_module_graph_has_no_cycle():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports but never reads, nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported: set[str] = set()
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"),
+)
+def test_every_import_is_used(module):
+    # __init__ is exempt: it imports to re-export.
+    assert unused_imports(PACKAGE / f"{module}.py") == []

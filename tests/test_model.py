@@ -15,7 +15,6 @@ from regsched import (
     Transition,
     TransitionKind,
     UserStory,
-    candidate_set,
     classify_region,
     classify_transition,
     diverged_tests,
@@ -69,12 +68,12 @@ class TestBasicTypes:
 class TestCandidateSet:
     def test_identical_test_sets_give_whole_set(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b")])
-        assert {t.id for t in candidate_set(b1, b2)} == {"a", "b"}
+        assert {t.id for t in ordered_candidates(b1, b2)} == {"a", "b"}
 
     def test_disjoint_test_sets_give_empty(self):
         b1 = build(1, [tc("a")])
         b2 = build(2, [tc("b")])
-        assert candidate_set(b1, b2) == frozenset()
+        assert set(ordered_candidates(b1, b2)) == set()
 
     def test_partial_overlap(self):
         # Oracle: exhaustive id comparison.
@@ -82,7 +81,7 @@ class TestCandidateSet:
         right = [tc("b"), tc("c"), tc("d")]
         expected = {t.id for t in left} & {t.id for t in right}
         b1, b2 = build(1, left), build(2, right)
-        assert {t.id for t in candidate_set(b1, b2)} == expected == {"b", "c"}
+        assert {t.id for t in ordered_candidates(b1, b2)} == expected == {"b", "c"}
 
     def test_duplicate_ids_raise(self):
         dupes = frozenset(
@@ -100,7 +99,7 @@ class TestCandidateSet:
     def test_returns_next_build_instances(self):
         b1 = build(1, [tc("a", exectime=1)])
         b2 = build(2, [tc("a", exectime=9)])
-        (got,) = candidate_set(b1, b2)
+        (got,) = ordered_candidates(b1, b2)
         assert got.exectime == 9
 
     @given(
@@ -110,8 +109,8 @@ class TestCandidateSet:
     def test_symmetry_as_id_sets(self, left_ids, right_ids):
         b1 = build(1, [tc(f"t{i}") for i in left_ids])
         b2 = build(2, [tc(f"t{i}") for i in right_ids])
-        forward = {t.id for t in candidate_set(b1, b2)}
-        backward = {t.id for t in candidate_set(b2, b1)}
+        forward = {t.id for t in ordered_candidates(b1, b2)}
+        backward = {t.id for t in ordered_candidates(b2, b1)}
         assert forward == backward
 
     @given(
@@ -123,8 +122,8 @@ class TestCandidateSet:
         b1 = build(1, [tc(f"t{i}") for i in left_ids])
         b2 = build(2, [tc(f"t{i}") for i in right_ids])
         b2_grown = build(2, [tc(f"t{i}") for i in right_ids | extra_ids])
-        before = {t.id for t in candidate_set(b1, b2)}
-        after = {t.id for t in candidate_set(b1, b2_grown)}
+        before = {t.id for t in ordered_candidates(b1, b2)}
+        after = {t.id for t in ordered_candidates(b1, b2_grown)}
         assert before <= after
 
     @given(
@@ -140,7 +139,6 @@ class TestCandidateSet:
         )
         got = ordered_candidates(b1, b2)
         assert list(got) == expected
-        assert candidate_set(b1, b2) == frozenset(expected)
         transition = Transition.of(b1, b2, Rtw.of_budget(7))
         assert transition.candidates == tuple(expected)
         assert list(transition.durations.items()) == [

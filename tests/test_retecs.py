@@ -15,6 +15,7 @@ from regsched import (
     RetecsStrategy,
     Rtw,
     Schedule,
+    Transition,
     agent_update,
     apfd_metric,
     atcs,
@@ -24,6 +25,7 @@ from regsched import (
     run_transitions,
     ttcp,
 )
+from regsched.budget import durations_by_id
 from regsched.errors import (
     BuildOrderError,
     ConfigurationError,
@@ -176,49 +178,57 @@ class TestAtcs:
         return BufferEntry(order=tuple(order), reward=0.0, failed=frozenset(failed), q_value=q)
 
     def test_single_feasible_sequence_is_returned(self):
-        tests = suite([2, 3])
+        durations = durations_by_id(suite([2, 3]))
         history = [self.entry(["t01", "t00"], failed=["t01"])]
-        sched = atcs(history, METRIC, Rtw.of_budget(10), candidates=tests, fallback=Schedule.empty())
+        sched = atcs(history, METRIC, Rtw.of_budget(10), durations=durations)
         assert sched.ids == ("t01", "t00")
 
     def test_highest_scoring_sequence_wins(self):
         # Re-scored with apfd against each entry's own failures:
         # entry1 = 1 - 2/2 + 1/4 = 0.25, entry2 = 1 - 1/2 + 1/4 = 0.75.
-        tests = suite([1, 1])
+        durations = durations_by_id(suite([1, 1]))
         low = self.entry(["t00", "t01"], failed=["t01"])
         high = self.entry(["t00", "t01"], failed=["t00"])
-        sched = atcs(
-            [high, low], apfd_metric(), Rtw.of_budget(10), candidates=tests,
-            fallback=Schedule.empty(),
-        )
+        sched = atcs([high, low], apfd_metric(), Rtw.of_budget(10), durations=durations)
         assert sched.meta["score"] == 0.75
 
     def test_infeasible_best_is_prefix_truncated_and_rescored(self):
         # Budget 4 admits only t00 (cost 3) from the best sequence; the
         # prefix oracle gives ("t00",) with cost 3.
-        tests = suite([3, 3])
+        durations = durations_by_id(suite([3, 3]))
         history = [self.entry(["t00", "t01"], failed=["t00", "t01"])]
-        sched = atcs(history, METRIC, Rtw.of_budget(4), candidates=tests, fallback=Schedule.empty())
+        sched = atcs(history, METRIC, Rtw.of_budget(4), durations=durations)
         assert sched.ids == ("t00",)
         assert sched.total_cost == 3
 
     def test_ties_go_to_most_recent(self):
-        tests = suite([1, 1])
+        durations = durations_by_id(suite([1, 1]))
         older = self.entry(["t00"], failed=["t00"])
         newer = self.entry(["t01"], failed=["t01"])
-        sched = atcs([older, newer], METRIC, Rtw.of_budget(10), candidates=tests,
-                     fallback=Schedule.empty())
+        sched = atcs([older, newer], METRIC, Rtw.of_budget(10), durations=durations)
         assert sched.ids == ("t01",)
 
-    def test_empty_history_falls_back(self):
-        fallback = Schedule(("t00",), 2, {"technique": "ttcp-greedy"})
-        assert atcs([], METRIC, Rtw.of_budget(10), candidates=suite([2]), fallback=fallback) is fallback
+    def test_empty_history_returns_none(self):
+        assert atcs([], METRIC, Rtw.of_budget(10), durations=durations_by_id(suite([2]))) is None
 
     def test_sequences_outside_candidates_are_filtered(self):
-        tests = suite([2])
+        durations = durations_by_id(suite([2]))
         history = [self.entry(["gone", "t00"], failed=["t00"])]
-        sched = atcs(history, METRIC, Rtw.of_budget(10), candidates=tests, fallback=Schedule.empty())
+        sched = atcs(history, METRIC, Rtw.of_budget(10), durations=durations)
         assert sched.ids == ("t00",)
+
+    def test_entries_that_filter_to_nothing_leave_the_ttcp_plan(self):
+        # One entry names no candidate; the other's first test overflows
+        # the budget, so its feasible prefix is empty.
+        tests = suite([2, 9])
+        b1, b2 = two_builds(shared=tests)
+        transition = Transition.of(b1, b2, Rtw.of_budget(5))
+        history = (self.entry(["gone"], failed=["gone"]), self.entry(["t01", "t00"], failed=[]))
+        assert atcs(history, METRIC, transition.window, durations=transition.durations) is None
+        base = ttcp(tests, METRIC, transition.window, priorities={"t00": 1.0, "t01": 1.0})
+        plan = plan_schedule(transition, AgentState(buffer=history), METRIC)
+        assert plan == base
+        assert plan.meta["technique"] == "ttcp-greedy"
 
 
 class TestAgentUpdate:
@@ -312,11 +322,10 @@ class TestCycle:
     @settings(max_examples=60, deadline=None)
     def test_bounded_plans_never_overrun(self, durations, budget, seed):
         rng = random.Random(seed)
-        tests = suite(durations)
+        transition = Transition.of(*two_builds(shared=suite(durations)), Rtw.of_budget(budget))
         state = AgentState()
-        window = Rtw.of_budget(budget)
         for _ in range(3):
-            sched = plan_schedule(tests, window, state, METRIC)
+            sched = plan_schedule(transition, state, METRIC)
             assert sched.total_cost <= budget
             verdicts = {t: rng.random() < 0.8 for t in sched.ids}
             state = agent_update(state, sched, verdicts)

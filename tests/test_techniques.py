@@ -14,11 +14,11 @@ from regsched import (
     Schedule,
     apfd_metric,
     build_graph,
+    feasible_prefix,
     metric_by_name,
     rtm_minimize,
     rtp_prioritize,
     rts_select,
-    schedule_under_budget,
 )
 from regsched.errors import (
     ConfigurationError,
@@ -280,22 +280,21 @@ class TestPrioritize:
 
 
 class TestScheduleUnderBudget:
+    """A technique's order is clipped to a window by ``feasible_prefix``."""
+
     def test_cumulative_sum_truncation(self):
         # Cumulative sums 2, 5, 9: the budget of 5 admits two tests.
         sched = Schedule(("a", "b", "c"), 9)
         durations = {"a": 2, "b": 3, "c": 4}
-        clipped = schedule_under_budget(sched, Rtw.of_budget(5), durations)
-        assert clipped.ids == ("a", "b")
-        assert clipped.total_cost == 5
+        assert feasible_prefix(sched.ids, durations, Rtw.of_budget(5)) == (("a", "b"), 5)
 
     def test_unbounded_window_returns_schedule_unchanged(self):
         sched = Schedule(("a", "b"), 5)
-        assert schedule_under_budget(sched, Rtw.unbounded(), {"a": 2, "b": 3}) is sched
+        assert feasible_prefix(sched.ids, {"a": 2, "b": 3}, Rtw.unbounded()) == (sched.ids, 5)
 
     def test_zero_budget_empties_schedule(self):
         sched = Schedule(("a",), 2)
-        clipped = schedule_under_budget(sched, Rtw.of_budget(0), {"a": 2})
-        assert clipped.ids == ()
+        assert feasible_prefix(sched.ids, {"a": 2}, Rtw.of_budget(0)) == ((), 0)
 
     @given(
         st.lists(st.integers(1, 9), min_size=0, max_size=8),
@@ -304,7 +303,8 @@ class TestScheduleUnderBudget:
     def test_output_is_a_feasible_prefix(self, durations_list, budget):
         ids = tuple(f"t{i}" for i in range(len(durations_list)))
         durations = dict(zip(ids, durations_list))
-        sched = Schedule(ids, sum(durations_list))
-        clipped = schedule_under_budget(sched, Rtw.of_budget(budget), durations)
-        assert clipped.ids == ids[: len(clipped.ids)]
-        assert clipped.total_cost <= budget
+        kept, total = feasible_prefix(ids, durations, Rtw.of_budget(budget))
+        assert kept == ids[: len(kept)]
+        assert total == sum(durations[i] for i in kept) <= budget
+        if len(kept) < len(ids):
+            assert total + durations[ids[len(kept)]] > budget
