@@ -169,15 +169,7 @@ def _cmd_regall(args) -> int:
             "result": report.result,
             "first_inconsistent": report.first_inconsistent,
             "vacuous": report.vacuous,
-            "verdicts": [
-                {
-                    "test_id": v.test_id,
-                    "outcome_prev": v.outcome_prev,
-                    "outcome_next": v.outcome_next,
-                    "consistent": v.consistent,
-                }
-                for v in report.verdicts
-            ],
+            "verdicts": [{**v._asdict(), "consistent": v.consistent} for v in report.verdicts],
         },
     )
     return 0

@@ -5,6 +5,10 @@ and reports 1 when all outcomes agree, 0 otherwise. It is defined only
 for unbounded windows (the whole candidate set must run); a bounded
 window is an error, not a partial answer.
 
+A :class:`Verdict` is a named tuple ``(test_id, outcome_prev,
+outcome_next)``, so it compares equal to a plain 3-tuple; its
+``consistent`` flag is derived from the two outcomes, never stored.
+
 The report is deliberately not a build verdict: whether a build is
 accepted or released on top of this binary result is a separate policy
 and has no field here.
@@ -12,36 +16,35 @@ and has no field here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .budget import Rtw
 from .errors import BoundedWindowError
 from .model import Build, ordered_candidates
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One test's outcome under the previous and next builds."""
 
     test_id: str
     outcome_prev: str
     outcome_next: str
-    consistent: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "consistent", self.outcome_prev == self.outcome_next)
+    @property
+    def consistent(self) -> bool:
+        return self.outcome_prev == self.outcome_next
 
 
-def run_tests(b_prev: Build, b_next: Build, test_ids: Sequence[str]) -> tuple[Verdict, ...]:
-    """Execute tests in the given order against both builds' behavior maps."""
+def run_tests(b_prev: Build, b_next: Build, test_ids: Iterable[str]) -> tuple[Verdict, ...]:
+    """Execute tests in the given order against both builds' behavior maps.
+
+    For each test the previous build runs first, so the first missing
+    behavior entry in that order raises.
+    """
+    ids = tuple(test_ids)
     return tuple(
-        Verdict(
-            test_id=i,
-            outcome_prev=b_prev.program.execute(i),
-            outcome_next=b_next.program.execute(i),
-        )
-        for i in test_ids
+        map(Verdict, ids, map(b_prev.program.execute, ids), map(b_next.program.execute, ids))
     )
 
 

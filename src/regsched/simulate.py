@@ -164,7 +164,8 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"unknown transition kind {slug!r}", field="transition_mix"
                     ) from None
-                mix[kind] = float(weight) if _is_number(weight) else weight
+                # Out-of-range weights stay as given: float() overflows on a huge int.
+                mix[kind] = float(weight) if _is_number(weight) and 0 <= weight <= 1 else weight
             kwargs["transition_mix"] = mix
         if kwargs.get("window_values") is not None:
             if not isinstance(kwargs["window_values"], list):
@@ -267,12 +268,13 @@ def generate_chain(cfg: ScenarioConfig) -> HistoryBundle:
     behavior = {t: active_tests[t].expected for t in sorted(active_tests)}
     program = ProgramVersion(program_id, dict(behavior))
     ready = rng.randint(0, 10)
+    tests = frozenset(active_tests.values())
     builds = [
         Build(
             index=1,
             program=program,
             specs=SpecSet(frozenset(active_stories.values())),
-            tests=frozenset(active_tests.values()),
+            tests=tests,
             ready_at=ready,
         )
     ]
@@ -353,13 +355,16 @@ def generate_chain(cfg: ScenarioConfig) -> HistoryBundle:
 
         if kind is not TransitionKind.PERIODIC_BUILD:
             program = ProgramVersion(program_id, dict(behavior))
+        # Only these kinds change the test set; the other builds share it.
+        if kind in (TransitionKind.NEW_FEATURE, TransitionKind.TECH_DEBT):
+            tests = frozenset(active_tests.values())
         ready += rng.randint(5, 50)
         builds.append(
             Build(
                 index=i,
                 program=program,
                 specs=SpecSet(frozenset(active_stories.values())),
-                tests=frozenset(active_tests.values()),
+                tests=tests,
                 ready_at=ready,
             )
         )
@@ -485,7 +490,7 @@ def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
         match: bool | None = None
         if transition.window.is_unbounded:
             reference = reg_all(b_prev, b_next, transition.window)
-            match = tuple(sorted(verdicts, key=lambda v: v.test_id)) == reference.verdicts
+            match = tuple(sorted(verdicts)) == reference.verdicts
         records.append(step.record)
         rows.append(
             TransitionRow(

@@ -202,6 +202,20 @@ def rtm_greedy_oracle(candidate_ids, coverage) -> frozenset[str]:
     return frozenset(chosen)
 
 
+def run_tests_oracle(b_prev, b_next, test_ids) -> list[tuple[str, str, str, bool]]:
+    """``(test_id, outcome_prev, outcome_next, consistent)`` for each test, one loop step each.
+
+    The previous build runs first for every test, so the first missing
+    behavior entry in that order raises.
+    """
+    rows = []
+    for test_id in test_ids:
+        outcome_prev = b_prev.program.execute(test_id)
+        outcome_next = b_next.program.execute(test_id)
+        rows.append((test_id, outcome_prev, outcome_next, outcome_prev == outcome_next))
+    return rows
+
+
 def dumps_canonical_oracle(data) -> str:
     """The canonical history, trace and report text, by its definition."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

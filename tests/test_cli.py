@@ -97,6 +97,7 @@ class TestSimulate:
             ({"window_policy": "list", "window_values": 10}, "window_values"),
             ({"transition_mix": {"periodic-build": "x", "defect-fix": 0.5}}, "transition_mix"),
             ({"transition_mix": {"periodic-build": math.nan, "new-feature": 1.0}}, "transition_mix"),
+            ({"transition_mix": {"periodic-build": 10**400, "new-feature": 1.0}}, "transition_mix"),
             ({"fault_rate": "x"}, "fault_rate"),
             ({"metric": []}, "metric"),
         ],
@@ -113,6 +114,7 @@ class TestSimulate:
             "window-values-not-a-list",
             "mix-weight-not-a-number",
             "mix-weight-nan",
+            "mix-weight-too-large-for-a-float",
             "fault-rate-not-a-number",
             "metric-not-a-string",
         ],

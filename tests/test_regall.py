@@ -4,11 +4,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import DIVERGED, build, tc, two_builds
-from regsched import RegAllReport, Rtw, reg_all, run_tests
+from helpers import DIVERGED, build, run_tests_oracle, tc, two_builds
+from regsched import RegAllReport, Rtw, Verdict, reg_all, run_tests
 from regsched.errors import BoundedWindowError, UndefinedExecutionError
 
 UNBOUNDED = Rtw.unbounded()
+POOL = [f"t{i}" for i in range(8)]
+OUTCOME = st.sampled_from(["ok", "bad", "flaky"])
+
+
+def programs(prev_behavior, next_behavior):
+    """Two builds whose programs hold exactly the given behavior maps."""
+    b_prev = build(1, [], behavior_overrides=prev_behavior)
+    return b_prev, build(2, [], behavior_overrides=next_behavior)
+
+
+def outcome_or_error(run, *args):
+    try:
+        return run(*args)
+    except UndefinedExecutionError as exc:
+        return str(exc)
 
 
 class TestRegAll:
@@ -115,3 +130,62 @@ class TestRunTests:
         assert verdict.outcome_prev == "ok-a"
         assert verdict.outcome_next == DIVERGED
         assert not verdict.consistent
+
+    @given(st.data())
+    def test_matches_per_test_oracle(self, data):
+        ids = data.draw(st.lists(st.sampled_from(POOL), unique=True))
+        prev = data.draw(st.lists(OUTCOME, min_size=len(ids), max_size=len(ids)))
+        nxt = data.draw(st.lists(OUTCOME, min_size=len(ids), max_size=len(ids)))
+        b1, b2 = programs(dict(zip(ids, prev)), dict(zip(ids, nxt)))
+        expected = run_tests_oracle(b1, b2, ids)
+        for given_ids in (ids, tuple(ids), (i for i in ids)):
+            verdicts = run_tests(b1, b2, given_ids)
+            assert [(*v, v.consistent) for v in verdicts] == expected
+
+    @given(
+        st.lists(st.sampled_from(POOL), unique=True),
+        st.dictionaries(st.sampled_from(POOL), OUTCOME),
+        st.dictionaries(st.sampled_from(POOL), OUTCOME),
+    )
+    def test_missing_entries_raise_like_the_oracle(self, ids, prev, nxt):
+        b1, b2 = programs(prev, nxt)
+        expected = outcome_or_error(run_tests_oracle, b1, b2, ids)
+        actual = outcome_or_error(run_tests, b1, b2, iter(ids))
+        if isinstance(expected, str):
+            assert actual == expected
+        else:
+            assert [(*v, v.consistent) for v in actual] == expected
+
+    @pytest.mark.parametrize(
+        "prev, nxt, program, test_id",
+        [
+            ({"a": "x", "b": "x"}, {"a": "x", "c": "x"}, 2, "b"),
+            ({"a": "x", "c": "x"}, {"a": "x", "b": "x"}, 1, "b"),
+            ({"a": "x"}, {"a": "x"}, 1, "b"),
+            ({"b": "x", "c": "x"}, {"b": "x", "c": "x"}, 1, "a"),
+        ],
+        ids=["next-lacks-b", "prev-lacks-b", "both-lack-b", "both-lack-a"],
+    )
+    def test_first_missing_entry_in_order_is_named(self, prev, nxt, program, test_id):
+        b1, b2 = programs(prev, nxt)
+        with pytest.raises(UndefinedExecutionError) as exc:
+            run_tests(b1, b2, ["a", "b", "c"])
+        assert str(exc.value) == f"program {program} has no behavior entry for test {test_id!r}"
+
+
+class TestVerdict:
+    def test_keyword_construction_and_tuple_equality(self):
+        verdict = Verdict(test_id="a", outcome_prev="ok", outcome_next="ok")
+        assert verdict == ("a", "ok", "ok")
+        assert verdict.consistent
+        assert not Verdict("a", "ok", "bad").consistent
+
+    def test_consistent_is_not_a_field(self):
+        assert Verdict._fields == ("test_id", "outcome_prev", "outcome_next")
+
+    @pytest.mark.parametrize("name", ["test_id", "outcome_prev", "outcome_next", "consistent"])
+    def test_attributes_are_read_only(self, name):
+        verdict = Verdict("a", "ok", "bad")
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, "other")
+        assert verdict == ("a", "ok", "bad") and not verdict.consistent

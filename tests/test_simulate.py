@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regsched import (
     ScenarioConfig,
@@ -129,6 +131,13 @@ class TestGenerator:
                 assert (
                     b_prev.program.behavior[test_id] != b_next.program.behavior[test_id]
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 30))
+    def test_builds_share_an_unchanged_test_set(self, seed, n_builds):
+        bundle = generate_chain(ScenarioConfig(seed=seed, n_builds=n_builds, n_tests=12))
+        for p, n in bundle.chain.pairs():
+            assert (p.tests is n.tests) == (p.test_ids() == n.test_ids())
 
     def test_coverage_references_only_living_tests(self):
         bundle = generate_chain(ScenarioConfig(seed=41, n_builds=20))
