@@ -12,6 +12,8 @@ from .budget import Rtw, Schedule, ScopeResult, feasible_prefix, scope, scope_br
 from .depgraph import (
     ChangeSet,
     DepGraph,
+    ExecutionHistory,
+    ExecutionRecord,
     affected_tests,
     build_graph,
     failure_score,
@@ -66,8 +68,6 @@ from .regall import RegAllReport, Verdict, reg_all, run_tests
 from .retecs import (
     AgentState,
     BufferEntry,
-    ExecutionHistory,
-    ExecutionRecord,
     agent_update,
     atcs,
     plan_schedule,

@@ -7,6 +7,12 @@ changed class impacts every test that can reach it along those edges,
 and the impacted candidates are then ordered by recent failure history
 and clipped to the window.
 
+The failure history is an :class:`ExecutionHistory`: per test, the
+``(build_index, passed)`` of each logged run, which is all
+:func:`failure_score` reads. ``strategies.DepGraphStrategy`` logs the
+verdicts of each transition it runs, and ``histio`` derives one from a
+chain's recorded behaviors.
+
 Graph values are immutable; updates build new graphs.
 """
 
@@ -17,7 +23,6 @@ from typing import AbstractSet, Iterable, Mapping
 
 from .budget import Rtw, Schedule, feasible_prefix
 from .errors import MalformedGraphError, UnknownNodeError
-from .retecs import ExecutionHistory
 
 Edge = tuple[str, str]
 
@@ -154,6 +159,33 @@ def affected_tests(
             else:
                 frontier.append(pred)
     return frozenset(reached_tests) & frozenset(candidates)
+
+
+@dataclass(frozen=True)
+class ExecutionRecord:
+    """One logged run of a test: the build it ran on and whether it passed."""
+
+    build_index: int
+    passed: bool
+
+
+class ExecutionHistory:
+    """Per-test failure log with non-decreasing build indices."""
+
+    def __init__(self) -> None:
+        self._records: dict[str, list[ExecutionRecord]] = {}
+
+    def add(self, test_id: str, build_index: int, passed: bool) -> None:
+        runs = self._records.setdefault(test_id, [])
+        if runs and build_index < runs[-1].build_index:
+            raise ValueError(
+                f"build indices must be non-decreasing per test ({test_id!r}: "
+                f"{runs[-1].build_index} then {build_index})"
+            )
+        runs.append(ExecutionRecord(build_index, passed))
+
+    def records(self, test_id: str) -> tuple[ExecutionRecord, ...]:
+        return tuple(self._records.get(test_id, ()))
 
 
 def failure_score(history: ExecutionHistory, test_id: str, recent: int = 5) -> float:

@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .depgraph import build_graph
+from .depgraph import ExecutionHistory, build_graph
 from .errors import HistoryFormatError, ReferentialIntegrityError
 from .model import (
     Build,
@@ -48,7 +48,7 @@ from .model import (
     diverged_tests,
     ordered_candidates,
 )
-from .retecs import ExecutionHistory
+from .regall import run_tests
 from .simulate import HistoryBundle, RunReport, TransitionRow
 from .trace import Trace
 
@@ -196,9 +196,9 @@ def derive_execution_history(chain: BuildChain) -> ExecutionHistory:
     """The per-test verdict log implied by a chain's recorded behaviors."""
     history = ExecutionHistory()
     for b_prev, b_next in chain.pairs():
-        for t in ordered_candidates(b_prev, b_next):
-            passed = b_prev.program.execute(t.id) == b_next.program.execute(t.id)
-            history.add(t.id, b_next.index, passed, t.duration)
+        ids = [t.id for t in ordered_candidates(b_prev, b_next)]
+        for v in run_tests(b_prev, b_next, ids):
+            history.add(v.test_id, b_next.index, v.consistent)
     return history
 
 

@@ -10,7 +10,7 @@ prioritization ranks tests by the groups they newly hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UndefinedMetricError
 from .regall import Verdict
@@ -28,15 +28,14 @@ class MetricContext:
     coverage: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
+    def from_failures(cls, test_ids: Iterable[str]) -> "MetricContext":
+        """One fault ``fail:<id>`` per failed test, detected by that test alone."""
+        return cls(faults={f"fail:{t}": frozenset({t}) for t in test_ids})
+
+    @classmethod
     def from_verdicts(cls, verdicts: Sequence[Verdict]) -> "MetricContext":
-        """Treat each inconsistent test as revealing one distinct fault."""
-        return cls(
-            faults={
-                f"fail:{v.test_id}": frozenset({v.test_id})
-                for v in verdicts
-                if not v.consistent
-            }
-        )
+        """:meth:`from_failures` over the inconsistent tests, in verdict order."""
+        return cls.from_failures(v.test_id for v in verdicts if not v.consistent)
 
 
 def first_detection_positions(

@@ -13,10 +13,14 @@ Two cooperating steps run at every build transition:
   before.
 
 A lightweight weight-tableau agent ties the cycles together: failing
-tests gain weight, long-passing tests decay, and executed sequences are
-kept in a bounded FIFO replay buffer that feeds ``atcs``. One cycle
-(plan, run, score, learn) is ``strategies.RetecsStrategy`` driven by
-``trace.run_transitions`` over a two-build chain.
+tests gain weight, long-passing tests decay, and each executed sequence
+enters a bounded FIFO replay buffer as ``(order, failed)``, which is all
+``atcs`` reads. Unlike RETECS (Spieker et al., ISSTA 2017) the agent
+computes no per-sequence reward: the weights learn from
+``failure_reward`` per failed test, and ``atcs`` re-scores each stored
+order against its own failures. One cycle (plan, run, score, learn) is
+``strategies.RetecsStrategy`` driven by ``trace.run_transitions`` over
+a two-build chain.
 """
 
 from __future__ import annotations
@@ -37,48 +41,11 @@ from .trace import Transition
 
 
 @dataclass(frozen=True)
-class ExecutionRecord:
-    """One historical run of a test: when, whether it passed, how long."""
-
-    build_index: int
-    passed: bool
-    duration: int
-
-
-class ExecutionHistory:
-    """Per-test execution log with non-decreasing build indices."""
-
-    def __init__(self) -> None:
-        self._records: dict[str, list[ExecutionRecord]] = {}
-
-    def add(self, test_id: str, build_index: int, passed: bool, duration: int) -> None:
-        runs = self._records.setdefault(test_id, [])
-        if runs and build_index < runs[-1].build_index:
-            raise ValueError(
-                f"build indices must be non-decreasing per test ({test_id!r}: "
-                f"{runs[-1].build_index} then {build_index})"
-            )
-        runs.append(ExecutionRecord(build_index, passed, duration))
-
-    def records(self, test_id: str) -> tuple[ExecutionRecord, ...]:
-        return tuple(self._records.get(test_id, ()))
-
-    def last_executed(self, test_id: str) -> int | None:
-        runs = self._records.get(test_id)
-        return runs[-1].build_index if runs else None
-
-    def test_ids(self) -> frozenset[str]:
-        return frozenset(self._records)
-
-
-@dataclass(frozen=True)
 class BufferEntry:
-    """An executed sequence with its reward and observed failures."""
+    """An executed sequence and the tests in it that failed."""
 
     order: tuple[str, ...]
-    reward: float
     failed: frozenset[str]
-    q_value: float | None
 
 
 # The weight of a test the agent has never seen executed.
@@ -95,7 +62,7 @@ class AgentState:
 
     so weights live in ``[0, failure_reward / (1 - decay)]``. Tests never
     executed read as :data:`INITIAL_WEIGHT`. The buffer keeps the last
-    ``capacity`` executed (sequence, reward) entries, evicting strictly
+    ``capacity`` executed ``(order, failed)`` entries, evicting strictly
     oldest-first.
     """
 
@@ -183,12 +150,6 @@ def ttcp(
     return Schedule(ids, total, meta)
 
 
-def _entry_context(entry: BufferEntry) -> MetricContext:
-    return MetricContext(
-        faults={f"fail:{t}": frozenset({t}) for t in sorted(entry.failed)}
-    )
-
-
 def atcs(
     history: Sequence[BufferEntry],
     metric: QualityMetric,
@@ -215,7 +176,7 @@ def atcs(
         if not ids:
             continue
         try:
-            score = metric.evaluate(ids, _entry_context(entry))
+            score = metric.evaluate(ids, MetricContext.from_failures(sorted(entry.failed)))
         except UndefinedMetricError:
             score = 0.0
         key = (score, position)
@@ -272,26 +233,23 @@ def agent_update(
     state: AgentState,
     executed: Schedule,
     verdicts: Mapping[str, bool],
-    q_value: float | None = None,
 ) -> AgentState:
     """Fold one executed schedule's outcomes into the agent.
 
     ``verdicts`` maps each executed test id to pass (True) / fail
-    (False); a missing entry is an error. The sequence reward is the
-    fraction of executed tests that failed, and the (sequence, reward)
-    pair enters the replay buffer, evicting the oldest entry at
-    capacity. Only executed tests' weights move.
+    (False); a missing entry is an error. The executed order and its
+    failed tests enter the replay buffer, an empty schedule too,
+    evicting the oldest entry at capacity. Only executed tests' weights
+    move.
     """
     missing = [t for t in executed.ids if t not in verdicts]
     if missing:
         raise IncompleteVerdictsError(f"missing verdicts for executed tests: {missing}")
     failed = frozenset(t for t in executed.ids if not verdicts[t])
-    reward = len(failed) / len(executed.ids) if executed.ids else 0.0
     weights = dict(state.weights)
     for test_id in executed.ids:
         w = weights.get(test_id, INITIAL_WEIGHT)
         bump = state.failure_reward if test_id in failed else 0.0
         weights[test_id] = w * state.decay + bump
-    entry = BufferEntry(order=executed.ids, reward=reward, failed=failed, q_value=q_value)
-    buffer = (state.buffer + (entry,))[-state.capacity :]
+    buffer = (state.buffer + (BufferEntry(executed.ids, failed),))[-state.capacity :]
     return replace(state, weights=weights, buffer=buffer)

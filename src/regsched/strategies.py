@@ -18,11 +18,11 @@ import random
 from typing import Mapping
 
 from .budget import Schedule, feasible_prefix
-from .depgraph import DepGraph, affected_tests, order_by_history
+from .depgraph import DepGraph, ExecutionHistory, affected_tests, order_by_history
 from .errors import ConfigurationError
 from .metrics import QualityMetric
 from .model import Build, diverged_tests
-from .retecs import AgentState, ExecutionHistory, agent_update, plan_schedule
+from .retecs import AgentState, agent_update, plan_schedule
 from .trace import Transition, TransitionStep
 
 
@@ -90,7 +90,6 @@ class RetecsStrategy:
             self.state,
             step.schedule,
             {v.test_id: v.consistent for v in step.verdicts},
-            q_value=step.record.q_value,
         )
 
 
@@ -132,11 +131,9 @@ class DepGraphStrategy:
         return Schedule(schedule.ids, schedule.total_cost, {"technique": self.name})
 
     def observe(self, step: TransitionStep) -> None:
-        durations = step.transition.durations
+        build_index = step.transition.b_next.index
         for v in step.verdicts:
-            self.history.add(
-                v.test_id, step.transition.b_next.index, v.consistent, durations[v.test_id]
-            )
+            self.history.add(v.test_id, build_index, v.consistent)
 
 
 def make_strategy(

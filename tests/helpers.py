@@ -216,6 +216,20 @@ def run_tests_oracle(b_prev, b_next, test_ids) -> list[tuple[str, str, str, bool
     return rows
 
 
+def execution_history_oracle(chain) -> dict[str, list[tuple[int, bool]]]:
+    """``test_id -> [(build_index, passed), ...]`` over a chain's transitions.
+
+    Each pair's shared tests run one at a time, in id order, and pass
+    when both builds give the same outcome.
+    """
+    log: dict[str, list[tuple[int, bool]]] = {}
+    for b_prev, b_next in chain.pairs():
+        for test_id in sorted(b_prev.test_ids() & b_next.test_ids()):
+            passed = b_prev.program.execute(test_id) == b_next.program.execute(test_id)
+            log.setdefault(test_id, []).append((b_next.index, passed))
+    return log
+
+
 def dumps_canonical_oracle(data) -> str:
     """The canonical history, trace and report text, by its definition."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"

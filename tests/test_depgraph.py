@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from helpers import affected_oracle
 from regsched import (
     ChangeSet,
     ExecutionHistory,
+    ExecutionRecord,
     Rtw,
     affected_tests,
     build_graph,
@@ -161,13 +163,33 @@ class TestAffectedTests:
         assert affected_tests(updated, {"c1"}, {"t1", "t2"}) == before
 
 
+class TestExecutionHistory:
+    def test_records_accumulate_in_order(self):
+        history = ExecutionHistory()
+        history.add("a", 1, True)
+        history.add("a", 3, False)
+        assert history.records("a") == (ExecutionRecord(1, True), ExecutionRecord(3, False))
+
+    def test_a_record_holds_only_the_build_and_the_outcome(self):
+        assert [f.name for f in fields(ExecutionRecord)] == ["build_index", "passed"]
+
+    def test_decreasing_build_index_rejected(self):
+        history = ExecutionHistory()
+        history.add("a", 5, True)
+        with pytest.raises(ValueError):
+            history.add("a", 4, True)
+
+    def test_unknown_test_has_no_records(self):
+        assert ExecutionHistory().records("zz") == ()
+
+
 class TestOrderByHistory:
     def history_with(self, rates):
         # rates: test id -> sequence of pass/fail booleans, oldest first.
         history = ExecutionHistory()
         for test_id, outcomes in rates.items():
             for n, passed in enumerate(outcomes, start=1):
-                history.add(test_id, n, passed, 1)
+                history.add(test_id, n, passed)
         return history
 
     def test_cold_start_prior_is_neutral(self):

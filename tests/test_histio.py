@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build, chain_of, dumps_canonical_oracle, story, tc
+from helpers import build, chain_of, dumps_canonical_oracle, execution_history_oracle, story, tc
 from regsched import (
+    ExecutionRecord,
     RetestAllStrategy,
     Rtw,
     ScenarioConfig,
@@ -63,7 +64,8 @@ class TestHistoryParsing:
         bundle, history = parse_history(minimal_history())
         assert len(bundle.chain) == 1
         assert bundle.chain.builds[0].test_ids() == {"t1"}
-        assert history.test_ids() == frozenset()
+        # One build has no transition, so nothing ran.
+        assert history.records("t1") == ()
 
     def test_unknown_story_in_coverage_is_referential_error(self):
         data = minimal_history()
@@ -258,11 +260,19 @@ class TestDerivedExecutionHistory:
         b1 = build(1, shared, stories=(story("s1"),))
         b2 = build(2, shared, stories=(story("s1"),), behavior_overrides={"b": "BROKE"})
         history = derive_execution_history(chain_of(b1, b2))
-        (a_run,) = history.records("a")
-        (b_run,) = history.records("b")
-        assert a_run.passed and a_run.build_index == 2
-        assert not b_run.passed
-        assert b_run.duration == tc("b").duration
+        assert history.records("a") == (ExecutionRecord(2, True),)
+        assert history.records("b") == (ExecutionRecord(2, False),)
+
+    @given(st.integers(0, 10_000), st.integers(2, 8), st.floats(0, 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_test_oracle_on_generated_chains(self, seed, n_builds, fault_rate):
+        cfg = ScenarioConfig(seed=seed, n_builds=n_builds, n_tests=8, fault_rate=fault_rate)
+        chain = generate_chain(cfg).chain
+        history = derive_execution_history(chain)
+        expected = execution_history_oracle(chain)
+        for test_id in set().union(*(b.test_ids() for b in chain.builds)):
+            logged = [(r.build_index, r.passed) for r in history.records(test_id)]
+            assert logged == expected.get(test_id, [])
 
 
 class TestReportExport:

@@ -38,6 +38,11 @@ def test_module_graph_has_no_cycle():
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
+@pytest.mark.parametrize("module", ["depgraph", "histio"])
+def test_failure_log_readers_do_not_import_the_adaptive_scheduler(module):
+    assert "retecs" not in sibling_imports(PACKAGE / f"{module}.py")
+
+
 def unused_imports(path: Path) -> list[str]:
     """The names ``path`` imports but never reads, nor lists in ``__all__``."""
     tree = ast.parse(path.read_text())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import apfd_area_oracle, tc, two_builds
 from regsched import (
     MetricContext,
+    Verdict,
     apfd,
     coverage_metric,
     fault_count_metric,
@@ -136,3 +137,13 @@ class TestBuiltinMetrics:
         ctx = MetricContext.from_verdicts(verdicts)
         assert set(ctx.faults) == {"fail:b"}
         assert ctx.faults["fail:b"] == frozenset({"b"})
+
+    @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans()), max_size=8,
+                    unique_by=lambda row: row[0]))
+    @settings(max_examples=100, deadline=None)
+    def test_from_failures_equals_from_verdicts_on_the_same_failures(self, rows):
+        verdicts = [Verdict(t, "ok", "ok" if passed else "broke") for t, passed in rows]
+        failed = [t for t, passed in rows if not passed]
+        ctx = MetricContext.from_failures(failed)
+        assert ctx == MetricContext.from_verdicts(verdicts)
+        assert list(ctx.faults) == [f"fail:{t}" for t in failed]

@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,6 @@ from regsched import (
     AgentState,
     BufferEntry,
     BuildChain,
-    ExecutionHistory,
     RetecsStrategy,
     Rtw,
     Schedule,
@@ -37,26 +37,6 @@ METRIC = fault_count_metric()
 
 def suite(durations):
     return [tc(f"t{i:02d}", exectime=d, setup=0) for i, d in enumerate(durations)]
-
-
-class TestExecutionHistory:
-    def test_records_accumulate_in_order(self):
-        history = ExecutionHistory()
-        history.add("a", 1, True, 5)
-        history.add("a", 3, False, 5)
-        assert [r.build_index for r in history.records("a")] == [1, 3]
-        assert history.last_executed("a") == 3
-
-    def test_decreasing_build_index_rejected(self):
-        history = ExecutionHistory()
-        history.add("a", 5, True, 1)
-        with pytest.raises(ValueError):
-            history.add("a", 4, True, 1)
-
-    def test_unknown_test_has_no_records(self):
-        history = ExecutionHistory()
-        assert history.records("zz") == ()
-        assert history.last_executed("zz") is None
 
 
 class TestTtcp:
@@ -174,8 +154,8 @@ class TestTtcp:
 
 
 class TestAtcs:
-    def entry(self, order, failed, q=None):
-        return BufferEntry(order=tuple(order), reward=0.0, failed=frozenset(failed), q_value=q)
+    def entry(self, order, failed):
+        return BufferEntry(tuple(order), frozenset(failed))
 
     def test_single_feasible_sequence_is_returned(self):
         durations = durations_by_id(suite([2, 3]))
@@ -248,14 +228,15 @@ class TestAgentUpdate:
         updated = agent_update(self.state(), executed, {"a": False, "b": True})
         assert updated.weights["a"] == pytest.approx(2.9)
         assert updated.weights["a"] > 2.0
-        entry = updated.buffer[-1]
-        assert entry.reward == 0.5
-        assert entry.failed == frozenset({"a"})
+        assert updated.buffer[-1] == BufferEntry(("a", "b"), frozenset({"a"}))
 
-    def test_empty_schedule_only_appends_zero_reward(self):
+    def test_empty_schedule_appends_an_empty_entry(self):
         updated = agent_update(self.state(), Schedule.empty(), {})
         assert updated.weights == self.state().weights
-        assert updated.buffer[-1].reward == 0.0
+        assert updated.buffer == (BufferEntry((), frozenset()),)
+
+    def test_buffer_entry_holds_only_the_order_and_its_failures(self):
+        assert [f.name for f in fields(BufferEntry)] == ["order", "failed"]
 
     def test_missing_verdict_rejected(self):
         with pytest.raises(IncompleteVerdictsError):
@@ -294,8 +275,7 @@ class TestCycle:
         b2 = build(2, [tc("b")])
         step, state = cycle(b1, b2, AgentState(), Rtw.of_budget(10))
         assert step.schedule.ids == ()
-        assert len(state.buffer) == 1
-        assert state.buffer[0].reward == 0.0
+        assert state.buffer == (BufferEntry((), frozenset()),)
 
     def test_non_consecutive_builds_rejected(self):
         b1 = build(1, [tc("a")])
