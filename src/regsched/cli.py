@@ -11,7 +11,6 @@ Errors exit non-zero with a message on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -25,6 +24,8 @@ from .histio import (
     ingest_history,
     load_report,
     load_trace,
+    loads_json,
+    read_json,
     report_to_csv,
     report_to_dict,
 )
@@ -43,9 +44,11 @@ def _parse_window(text: str) -> Rtw:
     try:
         value = int(text)
     except ValueError:
+        value = None
+    if value is None or value < 0:
         raise ConfigurationError(
-            f"window must be an integer or 'inf', got {text!r}", field="window"
-        ) from None
+            f"must be an integer >= 0 or 'inf', got {text!r}", field="window"
+        )
     return Rtw.of_budget(value)
 
 
@@ -79,7 +82,7 @@ def _load_transition(args):
 
 
 def _read_config(args) -> ScenarioConfig:
-    raw = json.loads(Path(args.config).read_text())
+    raw = read_json(args.config)
     if args.seed is not None and isinstance(raw, dict):
         raw["seed"] = args.seed
     return ScenarioConfig.from_dict(raw)
@@ -176,7 +179,9 @@ def _cmd_regall(args) -> int:
 
 
 def _strategy_for(args, bundle, metric):
-    params = json.loads(args.params) if args.params else {}
+    params = {}
+    if args.params:
+        params = loads_json(args.params, lambda msg: ConfigurationError(msg, field="params"))
     return make_strategy(
         args.strategy, params, graph=bundle.graph, metric=metric, seed=args.seed
     )
@@ -355,9 +360,6 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping
 
 from .budget import Rtw, Schedule, feasible_prefix
-from .errors import MalformedGraphError, UnknownNodeError
+from .errors import ConfigurationError, MalformedGraphError, UnknownNodeError
 
 Edge = tuple[str, str]
 
@@ -194,8 +194,11 @@ def failure_score(history: ExecutionHistory, test_id: str, recent: int = 5) -> f
     With runs r_1 (most recent) .. r_k, k <= recent, the score is
     ``sum(w_j * failed(r_j)) / sum(w_j)`` using linear weights
     ``w_j = k - j + 1``, so the newest run counts most. Tests with no
-    recorded runs score 0.5, a neutral cold-start prior.
+    recorded runs score 0.5, a neutral cold-start prior. ``recent`` must
+    be at least 1.
     """
+    if recent < 1:
+        raise ConfigurationError("must be at least 1", field="recent")
     runs = history.records(test_id)[-recent:]
     if not runs:
         return 0.5

@@ -112,6 +112,13 @@ class ConfigurationError(RegschedError):
         super().__init__(message if field is None else f"{field}: {message}")
 
 
+def require_int(value: object, field: str) -> int:
+    """``value`` if it is an int; ``"7"``, ``7.0`` or ``True`` would configure another run."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"must be an integer, got {value!r}", field=field)
+    return value
+
+
 class HistoryFormatError(RegschedError):
     """A history or trace file that does not conform to its schema."""
 

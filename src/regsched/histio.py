@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .depgraph import ExecutionHistory, build_graph
-from .errors import HistoryFormatError, ReferentialIntegrityError
+from .errors import HistoryFormatError, ReferentialIntegrityError, RegschedError
 from .model import (
     Build,
     BuildChain,
@@ -342,16 +342,29 @@ def _parse_bundle(data: dict) -> HistoryBundle:
     )
 
 
-def _read_json(path: str | Path):
+def loads_json(text: str, error: Callable[[str], RegschedError]):
+    """Parse JSON text, raising ``error(message)`` if it is not valid JSON.
+
+    ``json`` raises ``JSONDecodeError`` on bad syntax, but a plain
+    ``ValueError`` on an integer longer than CPython's int-string limit
+    (4300 digits by default); both are caught here.
+    """
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise HistoryFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise error(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """A history, trace, report or config file's JSON; a bad one is a ``HistoryFormatError``."""
+    return loads_json(Path(path).read_text(), lambda msg: HistoryFormatError(f"{path}: {msg}"))
 
 
 def ingest_history(path: str | Path) -> HistoryBundle:
     """Load and validate a history file."""
-    data = _read_json(path)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise HistoryFormatError(f"{path}: top level must be an object")
     return _parse_bundle(data)
@@ -562,7 +575,7 @@ def export_report(report: RunReport, fmt: str, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> RunReport:
-    return report_from_dict(_read_json(path))
+    return report_from_dict(read_json(path))
 
 
 # --- traces ----------------------------------------------------------------
@@ -573,4 +586,4 @@ def dump_trace(trace: Trace, path: str | Path) -> None:
 
 
 def load_trace(path: str | Path) -> Trace:
-    return Trace.from_dict(_read_json(path))
+    return Trace.from_dict(read_json(path))

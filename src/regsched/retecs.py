@@ -25,13 +25,13 @@ a two-build chain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
 from .errors import (
     ConfigurationError,
-    EngineLimitError,
     IncompleteVerdictsError,
     UndefinedMetricError,
 )
@@ -77,6 +77,8 @@ class AgentState:
             raise ConfigurationError("replay buffer capacity must be at least 1", field="capacity")
         if not 0.0 < self.decay < 1.0:
             raise ConfigurationError("must lie strictly between 0 and 1", field="decay")
+        if not 0.0 <= self.failure_reward < math.inf:
+            raise ConfigurationError("must be a finite number >= 0", field="failure_reward")
         if len(self.buffer) > self.capacity:
             raise ConfigurationError("replay buffer exceeds its capacity", field="buffer")
 
@@ -143,7 +145,7 @@ def ttcp(
 
         ids, total = feasible_prefix(sorted(durations, key=by_value), durations, window)
     else:
-        raise EngineLimitError(f"unknown ttcp engine {engine!r}")
+        raise ConfigurationError(f"unknown engine {engine!r}", field="engine")
     meta: dict[str, object] = {"technique": f"ttcp-{engine}"}
     if not ids and durations:
         meta["budget_starved"] = True

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .budget import Rtw
 from .depgraph import DepGraph, build_graph
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .metrics import MetricContext, metric_by_name
 from .model import (
     Build,
@@ -62,13 +62,6 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _require_int(value: object, name: str) -> int:
-    """``value`` if it is an int; ``"7"``, ``7.0`` or ``True`` would seed another run."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"must be an integer, got {value!r}", field=name)
-    return value
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a scenario run depends on, seed included."""
@@ -90,9 +83,9 @@ class ScenarioConfig:
     metric: str = "apfd"
 
     def __post_init__(self) -> None:
-        _require_int(self.seed, "seed")
+        require_int(self.seed, "seed")
         for name in ("n_builds", "n_tests", "n_stories", "n_classes"):
-            if _require_int(getattr(self, name), name) < 1:
+            if require_int(getattr(self, name), name) < 1:
                 raise ConfigurationError("must be a positive integer", field=name)
         if not self.transition_mix:
             raise ConfigurationError("must not be empty", field="transition_mix")
@@ -118,14 +111,14 @@ class ScenarioConfig:
                 field="window_policy",
             )
         if self.window_value is not None:
-            _require_int(self.window_value, "window_value")
+            require_int(self.window_value, "window_value")
         if self.window_policy == "fixed":
             if self.window_value is None or self.window_value < 0:
                 raise ConfigurationError(
                     "fixed policy needs a non-negative window_value", field="window_value"
                 )
         for v in self.window_values or ():
-            if v is not None and _require_int(v, "window_values") < 0:
+            if v is not None and require_int(v, "window_values") < 0:
                 raise ConfigurationError(
                     "window values must be non-negative or null", field="window_values"
                 )

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .budget import Schedule, feasible_prefix
 from .depgraph import DepGraph, ExecutionHistory, affected_tests, order_by_history
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_int
 from .metrics import QualityMetric
 from .model import Build, diverged_tests
 from .retecs import AgentState, agent_update, plan_schedule
@@ -53,7 +53,7 @@ class RandomKStrategy:
 
     def __init__(self, k: int, seed: int = 0):
         if k < 0:
-            raise ConfigurationError("k must be non-negative", field="k")
+            raise ConfigurationError("must be non-negative", field="k")
         self.k = k
         self._rng = random.Random(seed)
 
@@ -117,6 +117,8 @@ class DepGraphStrategy:
     name = "depgraph"
 
     def __init__(self, graph: DepGraph, recent: int = 5):
+        if recent < 1:
+            raise ConfigurationError("must be at least 1", field="recent")
         self.graph = graph
         self.recent = recent
         self.history = ExecutionHistory()
@@ -136,6 +138,15 @@ class DepGraphStrategy:
             self.history.add(v.test_id, build_index, v.consistent)
 
 
+# The parameters each built-in strategy takes; any other key is an error.
+_PARAMS: dict[str, tuple[str, ...]] = {
+    "retest-all": (),
+    "random-k": ("k", "seed"),
+    "retecs": ("engine", "capacity", "decay", "failure_reward"),
+    "depgraph": ("recent",),
+}
+
+
 def make_strategy(
     name: str,
     params: Mapping[str, object] | None = None,
@@ -148,36 +159,54 @@ def make_strategy(
 
     ``random-k`` takes ``k`` and optionally ``seed``; ``retecs`` takes
     ``engine``, ``capacity``, ``decay``, and ``failure_reward`` and needs
-    a metric; ``depgraph`` takes ``recent`` and needs a graph.
+    a metric; ``depgraph`` takes ``recent`` and needs a graph. ``k``,
+    ``seed``, ``capacity`` and ``recent`` must be integers, ``decay`` and
+    ``failure_reward`` finite numbers, and ``engine`` ``greedy`` or
+    ``exact``. Values are checked, never coerced: an unknown key,
+    a wrong type or an out-of-range value raises ``ConfigurationError``
+    naming the key.
     """
     if params is not None and not isinstance(params, Mapping):
         raise ConfigurationError("must be a JSON object", field="params")
     params = dict(params or {})
+    if not isinstance(name, str) or name not in _PARAMS:
+        raise ConfigurationError(f"unknown strategy {name!r}", field="strategy")
+    unknown = [key for key in params if key not in _PARAMS[name]]
+    if unknown:
+        raise ConfigurationError(
+            f"not a {name} parameter; known: {list(_PARAMS[name])}", field=unknown[0]
+        )
     if name == "retest-all":
         return RetestAllStrategy()
     if name == "random-k":
         if "k" not in params:
             raise ConfigurationError("random-k needs a sample size", field="k")
-        return RandomKStrategy(k=_param(params, "k", int), seed=_param(params, "seed", int, seed))
+        return RandomKStrategy(
+            k=require_int(params["k"], "k"), seed=require_int(params.get("seed", seed), "seed")
+        )
     if name == "retecs":
         if metric is None:
             raise ConfigurationError("retecs needs a quality metric", field="metric")
+        engine = params.get("engine", "greedy")
+        if engine not in ("greedy", "exact"):
+            raise ConfigurationError(f"must be greedy or exact, got {engine!r}", field="engine")
         state = AgentState(
-            capacity=_param(params, "capacity", int, 10),
-            decay=_param(params, "decay", float, 0.95),
-            failure_reward=_param(params, "failure_reward", float, 1.0),
+            capacity=require_int(params.get("capacity", 10), "capacity"),
+            decay=_number(params, "decay", 0.95),
+            failure_reward=_number(params, "failure_reward", 1.0),
         )
-        return RetecsStrategy(metric, engine=str(params.get("engine", "greedy")), state=state)
-    if name == "depgraph":
-        if graph is None:
-            raise ConfigurationError("depgraph needs a dependency graph", field="graph")
-        return DepGraphStrategy(graph, recent=_param(params, "recent", int, 5))
-    raise ConfigurationError(f"unknown strategy {name!r}", field="strategy")
+        return RetecsStrategy(metric, engine=engine, state=state)
+    if graph is None:
+        raise ConfigurationError("depgraph needs a dependency graph", field="graph")
+    return DepGraphStrategy(graph, recent=require_int(params.get("recent", 5), "recent"))
 
 
-def _param(params: Mapping[str, object], key: str, convert, default=None):
+def _number(params: Mapping[str, object], key: str, default: float) -> float:
+    """``params[key]`` as a float; ``AgentState`` checks its range."""
     value = params.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"expected {convert.__name__}, got {value!r}", field=key) from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"must be a finite number, got {value!r}", field=key)

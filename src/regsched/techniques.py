@@ -135,6 +135,8 @@ def rts_select(
             )
         return affected_tests(graph, changed_classes, candidate_ids)
     if selector == "random-k":
+        if k < 0:
+            raise ConfigurationError("must be non-negative", field="k")
         rng = random.Random(seed)
         take = min(k, len(candidate_ids))
         return frozenset(rng.sample(sorted(candidate_ids), take))

@@ -2,6 +2,8 @@ import copy
 import io
 import json
 import math
+import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
@@ -361,6 +363,18 @@ class TestTraceCommands:
             ("retecs", {"decay": 1.5}, "decay"),
             ("depgraph", {"recent": None}, "recent"),
             ("retest-all", [1], "params"),
+            ("retecs", {"deacy": 0.5}, "deacy"),
+            ("retest-all", {"k": 3}, "k"),
+            ("random-k", {"k": 1.7}, "k"),
+            ("random-k", {"k": True}, "k"),
+            ("retecs", {"capacity": 2.0}, "capacity"),
+            ("depgraph", {"recent": 0}, "recent"),
+            ("depgraph", {"recent": -3}, "recent"),
+            ("retecs", {"failure_reward": math.nan}, "failure_reward"),
+            ("retecs", {"failure_reward": math.inf}, "failure_reward"),
+            ("retecs", {"failure_reward": -1}, "failure_reward"),
+            ("retecs", {"decay": 10**400}, "decay"),
+            ("retecs", {"engine": "bogus"}, "engine"),
         ],
         ids=[
             "k-not-an-int",
@@ -370,6 +384,18 @@ class TestTraceCommands:
             "decay-out-of-range",
             "recent-null",
             "params-not-an-object",
+            "unknown-key",
+            "key-of-another-strategy",
+            "k-a-float",
+            "k-a-bool",
+            "capacity-a-float",
+            "recent-zero",
+            "recent-negative",
+            "failure-reward-nan",
+            "failure-reward-infinite",
+            "failure-reward-negative",
+            "decay-too-large-for-a-float",
+            "engine-unknown",
         ],
     )
     def test_wrong_typed_params_fail_cleanly(
@@ -447,6 +473,31 @@ class TestTraceCommands:
             assert "t001" in record.schedule
             assert sum(cost[record.index, i] for i in record.schedule) <= 30
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("schedule", "--prev", 1, "--next", 2, "--window", -3), "window"),
+            (("regall", "--prev", 1, "--next", 2, "--window", -3), "window"),
+            (("trace", "record", "--strategy", "retecs", "--window", -3, "--out", "t.json"),
+             "window"),
+            (("trace", "check", "--strategy", "retecs", "--window", -3), "window"),
+            (("trace", "record", "--strategy", "retest-all",
+              "--windows", ",".join(["40"] * 6 + ["-1"]), "--out", "t.json"), "window"),
+            (("select", "--prev", 1, "--next", 2, "--selector", "random-k", "--k", -1), "k"),
+        ],
+        ids=["schedule", "regall", "trace-record", "trace-check", "windows-entry", "select-k"],
+    )
+    def test_negative_window_or_k_fails_cleanly(
+        self, history_file, tmp_path, monkeypatch, capsys, argv, field
+    ):
+        monkeypatch.chdir(tmp_path)
+        verb = argv[:2] if argv[0] == "trace" else argv[:1]
+        code = run_cli(*verb, "--history", history_file, *argv[len(verb):])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: ")
+        assert "Traceback" not in err
+
     def test_window_count_mismatch_fails(self, history_file, tmp_path, capsys):
         assert (
             run_cli(
@@ -481,6 +532,48 @@ class TestReportCommand:
                     "--out", tmp_path / "o.csv")
             == 1
         )
+
+
+# 5000 digits: over CPython's default int-string limit of 4300.
+HUGE = "9" * 5000
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-string limit"
+)
+@pytest.mark.parametrize(
+    "target, key",
+    [("config", "seed"), ("history", "ready_at"), ("trace", "delta_tau"),
+     ("report", "total_cost"), ("params", "k")],
+)
+def test_json_integer_over_the_digit_limit_fails_cleanly(
+    config_file, history_file, tmp_path, capsys, target, key
+):
+    trace, report, out = tmp_path / "trace.json", tmp_path / "report.json", tmp_path / "out"
+    assert run_cli("trace", "record", "--history", history_file, "--strategy", "retecs",
+                   "--window", 40, "--out", trace) == 0
+    assert run_cli("simulate", "--config", config_file, "--out", report) == 0
+    files = {"config": config_file, "history": history_file, "trace": trace, "report": report}
+    if target in files:
+        text, count = re.subn(
+            rf'"{key}": \d+', f'"{key}": {HUGE}', files[target].read_text(), count=1
+        )
+        assert count == 1
+        files[target].write_text(text)
+    argv = {
+        "config": ("simulate", "--config", config_file),
+        "history": ("regall", "--history", history_file, "--prev", 1, "--next", 2),
+        "trace": ("trace", "replay", "--history", history_file, "--trace", trace),
+        "report": ("report", "--in", report, "--format", "csv", "--out", out),
+        "params": ("trace", "record", "--history", history_file, "--strategy", "random-k",
+                   "--params", f'{{"{key}": {HUGE}}}', "--out", out),
+    }[target]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {files.get(target, 'params')}: invalid JSON: ")
+    assert "Traceback" not in err
 
 
 def test_no_arguments_is_a_usage_error():

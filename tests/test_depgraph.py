@@ -17,7 +17,7 @@ from regsched import (
     order_by_history,
     update_graph,
 )
-from regsched.errors import MalformedGraphError, UnknownNodeError
+from regsched.errors import ConfigurationError, MalformedGraphError, UnknownNodeError
 
 
 def small_graph():
@@ -191,6 +191,13 @@ class TestOrderByHistory:
             for n, passed in enumerate(outcomes, start=1):
                 history.add(test_id, n, passed)
         return history
+
+    @pytest.mark.parametrize("recent", [0, -3])
+    def test_recent_below_one_is_rejected(self, recent):
+        history = self.history_with({"a": [True, False]})
+        with pytest.raises(ConfigurationError) as exc:
+            failure_score(history, "a", recent=recent)
+        assert exc.value.field == "recent"
 
     def test_cold_start_prior_is_neutral(self):
         assert failure_score(ExecutionHistory(), "zz") == 0.5

@@ -110,6 +110,11 @@ class TestTtcp:
             ttcp(tests, METRIC, window, engine=engine)
         assert exc.value.field == "candidates"
 
+    def test_unknown_engine_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError) as exc:
+            ttcp(suite([1]), METRIC, Rtw.of_budget(5), engine="bogus")
+        assert exc.value.field == "engine"
+
     def test_unbounded_window_runs_everything(self):
         tests = suite([3, 4, 5])
         for engine in ("exact", "greedy"):
