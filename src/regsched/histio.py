@@ -342,12 +342,13 @@ def _parse_bundle(data: dict) -> HistoryBundle:
     )
 
 
-def loads_json(text: str, error: Callable[[str], RegschedError]):
+def loads_json(text: str | bytes, error: Callable[[str], RegschedError]):
     """Parse JSON text, raising ``error(message)`` if it is not valid JSON.
 
     ``json`` raises ``JSONDecodeError`` on bad syntax, but a plain
     ``ValueError`` on an integer longer than CPython's int-string limit
-    (4300 digits by default); both are caught here.
+    (4300 digits by default) and ``UnicodeDecodeError`` on bytes that are
+    not UTF-8, -16 or -32; all are caught here.
     """
     try:
         return json.loads(text)
@@ -359,7 +360,7 @@ def loads_json(text: str, error: Callable[[str], RegschedError]):
 
 def read_json(path: str | Path):
     """A history, trace, report or config file's JSON; a bad one is a ``HistoryFormatError``."""
-    return loads_json(Path(path).read_text(), lambda msg: HistoryFormatError(f"{path}: {msg}"))
+    return loads_json(Path(path).read_bytes(), lambda msg: HistoryFormatError(f"{path}: {msg}"))
 
 
 def ingest_history(path: str | Path) -> HistoryBundle:

@@ -576,6 +576,16 @@ def test_json_integer_over_the_digit_limit_fails_cleanly(
     assert "Traceback" not in err
 
 
+def test_history_that_is_not_utf8_fails_cleanly(tmp_path, capsys):
+    history = tmp_path / "history.json"
+    history.write_bytes(b'{"schema": "\xff"}')
+    code = run_cli("regall", "--history", history, "--prev", 1, "--next", 2)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {history}: invalid JSON: ")
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
