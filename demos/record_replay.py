@@ -2,8 +2,11 @@
 
 Generates a seeded 15-build chain, runs three strategies over the same
 windows, and shows each run's schedule sizes and mean quality. The
-adaptive run is then recorded, replayed, and verified field by field.
+adaptive run is then recorded, replayed, and verified field by field;
+the demo exits 1 if the replay or the verification does not match.
 """
+
+import sys
 
 from regsched import (
     Rtw,
@@ -56,10 +59,11 @@ def main():
     print(f"replayed {len(steps)} builds; schedules identical: {identical}")
 
     verification = check_completeness(
-        fresh, bundle.chain, windows, metric, eval_context=eval_ctx
+        fresh(), bundle.chain, windows, metric, eval_context=eval_ctx
     )
     print(f"record-vs-live verification: all builds ok = {verification.all_verified}")
+    return 0 if identical and verification.all_verified else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

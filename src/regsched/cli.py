@@ -178,24 +178,21 @@ def _cmd_regall(args) -> int:
     return 0
 
 
-def _strategy_for(args, bundle, metric):
-    params = {}
-    if args.params:
-        params = loads_json(args.params, lambda msg: ConfigurationError(msg, field="params"))
-    return make_strategy(
-        args.strategy, params, graph=bundle.graph, metric=metric, seed=args.seed
-    )
-
-
-def _cmd_trace_record(args) -> int:
+def _strategy_run(args):
+    """What ``trace record`` and ``trace check`` run: strategy, chain, windows, metric, context."""
     bundle = ingest_history(args.history)
     metric = metric_by_name(args.metric)
     windows = _windows_arg(args, len(bundle.chain) - 1)
-    strategy = _strategy_for(args, bundle, metric)
-    trace = record_trace(
-        strategy, bundle.chain, windows, metric, eval_context=scenario_eval_context(bundle)
-    )
-    dump_trace(trace, args.out)
+    params = {}
+    if args.params:
+        params = loads_json(args.params, lambda msg: ConfigurationError(msg, field="params"))
+    strategy = make_strategy(args.strategy, params, graph=bundle.graph, metric=metric, seed=args.seed)
+    return strategy, bundle.chain, windows, metric, scenario_eval_context(bundle)
+
+
+def _cmd_trace_record(args) -> int:
+    strategy, chain, windows, metric, eval_context = _strategy_run(args)
+    dump_trace(record_trace(strategy, chain, windows, metric, eval_context=eval_context), args.out)
     return 0
 
 
@@ -221,16 +218,8 @@ def _cmd_trace_replay(args) -> int:
 
 
 def _cmd_trace_check(args) -> int:
-    bundle = ingest_history(args.history)
-    metric = metric_by_name(args.metric)
-    windows = _windows_arg(args, len(bundle.chain) - 1)
-    report = check_completeness(
-        lambda: _strategy_for(args, bundle, metric),
-        bundle.chain,
-        windows,
-        metric,
-        eval_context=scenario_eval_context(bundle),
-    )
+    strategy, chain, windows, metric, eval_context = _strategy_run(args)
+    report = check_completeness(strategy, chain, windows, metric, eval_context=eval_context)
     _emit(
         args,
         {
@@ -255,6 +244,17 @@ def _add_transition_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prev", type=int, required=True, help="previous build index")
     p.add_argument("--next", type=int, required=True, help="next build index")
     p.add_argument("--out", help="write JSON here instead of stdout")
+
+
+def _add_strategy_run_args(p: argparse.ArgumentParser, *, out_required: bool) -> None:
+    p.add_argument("--history", required=True, help="history JSON file")
+    p.add_argument("--strategy", required=True)
+    p.add_argument("--params", help="strategy parameters as JSON")
+    p.add_argument("--metric", default="apfd")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--window", default="inf")
+    p.add_argument("--windows", help="comma-separated per-transition windows")
+    p.add_argument("--out", required=out_required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,14 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
 
     tp = trace_sub.add_parser("record", help="run a strategy and save its trace")
-    tp.add_argument("--history", required=True)
-    tp.add_argument("--strategy", required=True)
-    tp.add_argument("--params", help="strategy parameters as JSON")
-    tp.add_argument("--metric", default="apfd")
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--window", default="inf")
-    tp.add_argument("--windows", help="comma-separated per-transition windows")
-    tp.add_argument("--out", required=True)
+    _add_strategy_run_args(tp, out_required=True)
     tp.set_defaults(func=_cmd_trace_record)
 
     tp = trace_sub.add_parser("replay", help="re-execute a recorded trace")
@@ -330,15 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--out")
     tp.set_defaults(func=_cmd_trace_replay)
 
-    tp = trace_sub.add_parser("check", help="verify a recording matches a live run")
-    tp.add_argument("--history", required=True)
-    tp.add_argument("--strategy", required=True)
-    tp.add_argument("--params")
-    tp.add_argument("--metric", default="apfd")
-    tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--window", default="inf")
-    tp.add_argument("--windows")
-    tp.add_argument("--out")
+    tp = trace_sub.add_parser("check", help="verify a recording reproduces a live run")
+    _add_strategy_run_args(tp, out_required=False)
     tp.set_defaults(func=_cmd_trace_check)
 
     p = sub.add_parser("report", help="re-export a saved report")

@@ -155,14 +155,30 @@ def _expect_number(mapping: object, key: str, path: str, minimum: float | None =
     return value
 
 
-def _expect_test_ids(mapping: object, key: str, path: str, known: set[str]) -> frozenset[str]:
+def _expect_optional_number(mapping: object, key: str, path: str) -> float | None:
+    return None if _expect(mapping, key, path) is None else _expect_number(mapping, key, path)
+
+
+def _expect_ids(mapping: object, key: str, path: str) -> tuple[str, ...]:
     ids = _expect_list(mapping, key, path)
-    for m, test_id in enumerate(ids):
-        if not isinstance(test_id, str):
-            raise HistoryFormatError(f"{path}.{key}[{m}]: expected a test id, got {test_id!r}")
+    for m, item in enumerate(ids):
+        if not isinstance(item, str) or not item:
+            raise HistoryFormatError(f"{path}.{key}[{m}]: expected a non-empty string, got {item!r}")
+    return tuple(ids)
+
+
+def _expect_test_ids(mapping: object, key: str, path: str, known: set[str]) -> frozenset[str]:
+    ids = _expect_ids(mapping, key, path)
+    for test_id in ids:
         if test_id not in known:
             raise ReferentialIntegrityError(f"{path}: unknown test {test_id!r}")
     return frozenset(ids)
+
+
+def _expect_schema(data: object) -> None:
+    schema = _expect_int(data, "schema", "$")
+    if schema != SCHEMA_VERSION:
+        raise HistoryFormatError(f"$.schema: unsupported version {schema}")
 
 
 def _shared_row(table: dict, row: object) -> tuple[tuple | None, object]:
@@ -210,9 +226,7 @@ def parse_history(data: dict) -> tuple[HistoryBundle, ExecutionHistory]:
 
 def _parse_bundle(data: dict) -> HistoryBundle:
     """Validate and build model objects from history-schema JSON."""
-    schema = _expect_int(data, "schema", "$")
-    if schema != SCHEMA_VERSION:
-        raise HistoryFormatError(f"$.schema: unsupported version {schema}")
+    _expect_schema(data)
 
     behavior: dict[int, dict[str, str]] = {}
     for n, row in enumerate(_expect_list(data, "behavior", "$")):
@@ -514,32 +528,39 @@ def report_to_dict(report: RunReport) -> dict:
 
 
 def report_from_dict(data: dict) -> RunReport:
-    try:
-        rows = tuple(
-            TransitionRow(
-                build_index=r["build_index"],
-                transition=r["transition"],
-                candidate_count=r["candidate_count"],
-                schedule=tuple(r["schedule"]),
-                total_cost=r["total_cost"],
-                q_value=r["q_value"],
-                failed=tuple(r["failed"]),
-                undetected_faults=tuple(r["undetected_faults"]),
-                regall_match=r["regall_match"],
+    """Validate report-schema JSON; every bad field is named by its JSON path."""
+    _expect_schema(data)
+    rows = []
+    for n, r in enumerate(_expect_list(data, "rows", "$")):
+        path = f"$.rows[{n}]"
+        regall_match = _expect(r, "regall_match", path)
+        if regall_match is not None and not isinstance(regall_match, bool):
+            raise HistoryFormatError(
+                f"{path}.regall_match: expected a bool or null, got {regall_match!r}"
             )
-            for r in data["rows"]
+        rows.append(
+            TransitionRow(
+                build_index=_expect_int(r, "build_index", path),
+                transition=_expect_str(r, "transition", path),
+                candidate_count=_expect_int(r, "candidate_count", path, minimum=0),
+                schedule=_expect_ids(r, "schedule", path),
+                total_cost=_expect_int(r, "total_cost", path, minimum=0),
+                q_value=_expect_optional_number(r, "q_value", path),
+                failed=_expect_ids(r, "failed", path),
+                undetected_faults=_expect_ids(r, "undetected_faults", path),
+                regall_match=regall_match,
+            )
         )
-        return RunReport(
-            seed=data["seed"],
-            strategy=data["strategy"],
-            metric=data["metric"],
-            rows=rows,
-            mean_q=data["aggregates"]["mean_q"],
-            total_cost=data["aggregates"]["total_cost"],
-            fault_recall=data["aggregates"]["fault_recall"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise HistoryFormatError(f"malformed report data: {exc}") from exc
+    aggregates = _expect(data, "aggregates", "$")
+    return RunReport(
+        seed=_expect_int(data, "seed", "$"),
+        strategy=_expect_str(data, "strategy", "$"),
+        metric=_expect_str(data, "metric", "$"),
+        rows=tuple(rows),
+        mean_q=_expect_optional_number(aggregates, "mean_q", "$.aggregates"),
+        total_cost=_expect_int(aggregates, "total_cost", "$.aggregates", minimum=0),
+        fault_recall=_expect_optional_number(aggregates, "fault_recall", "$.aggregates"),
+    )
 
 
 def report_to_csv(report: RunReport) -> str:

@@ -13,7 +13,9 @@ schedule and the verdicts, so recording and reporting share one execution.
 Replaying the records against the same chain reproduces the original
 schedules and verdicts bit for bit, and enforces the same per-build
 contract as recording: a schedule outside its candidates or over its
-``delta_tau`` is rejected.
+``delta_tau`` is rejected. :func:`check_completeness` tests that claim on
+one run: it replays the run's own records and compares each build's
+schedule, verdicts and quality value with what ran.
 
 Build 1 has no predecessor, so its record carries an empty schedule, a
 zero budget, and no quality value. Records with an unbounded budget are
@@ -23,6 +25,7 @@ time-boxed pipelines can reject them as policy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -145,20 +148,16 @@ class Trace:
             records = []
             for position, row in enumerate(data["tuples"], start=1):
                 where = f"trace record {position}"
-                delta = row["delta_tau"]
-                if delta != "inf" and (
-                    not isinstance(delta, int) or isinstance(delta, bool) or delta < 0
-                ):
-                    raise ValueError(f"delta_tau must be an integer >= 0 or 'inf', got {delta!r}")
+                delta = _field(row, "delta_tau", _is_budget, "an integer >= 0 or 'inf'")
                 records.append(
                     TraceTuple(
-                        index=row["index"],
-                        program_id=row["program_id"],
-                        spec_ids=tuple(row["spec_ids"]),
-                        test_ids=tuple(row["test_ids"]),
+                        index=_field(row, "index", _is_int, "an integer"),
+                        program_id=_field(row, "program_id", _is_int, "an integer"),
+                        spec_ids=tuple(_field(row, "spec_ids", _is_ids, "a list of strings")),
+                        test_ids=tuple(_field(row, "test_ids", _is_ids, "a list of strings")),
                         delta_tau=None if delta == "inf" else delta,
-                        q_value=row["q_value"],
-                        schedule=tuple(row["schedule"]),
+                        q_value=_field(row, "q_value", _is_quality, "a finite number or null"),
+                        schedule=tuple(_field(row, "schedule", _is_ids, "a list of strings")),
                     )
                 )
             where = "trace data"
@@ -167,10 +166,42 @@ class Trace:
             raise HistoryFormatError(f"malformed {where}: {exc}") from exc
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_budget(value: object) -> bool:
+    return value == "inf" or (_is_int(value) and value >= 0)
+
+
+def _is_ids(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(i, str) for i in value)
+
+
+def _is_quality(value: object) -> bool:
+    return value is None or _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _field(row: dict, name: str, valid: Callable[[object], bool], expected: str):
+    """``row[name]``, or a ``ValueError`` saying what the field must be."""
+    value = row[name]
+    if not valid(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def _default_eval_context(
     b_prev: Build, b_next: Build, executed: Sequence[str], verdicts: Sequence[Verdict]
 ) -> MetricContext:
     return MetricContext.from_verdicts(tuple(verdicts))
+
+
+def _quality(metric: QualityMetric, ids: Sequence[str], ctx: MetricContext) -> float | None:
+    """The metric's value for ``ids``, or ``None`` where the metric is undefined."""
+    try:
+        return metric.evaluate(ids, ctx)
+    except UndefinedMetricError:
+        return None
 
 
 def _snapshot(build: Build, delta_tau=0, q_value=None, schedule=()) -> TraceTuple:
@@ -244,11 +275,7 @@ def run_transitions(
         if breach:
             raise InfeasibleScheduleError(b_next.index, breach[1])
         verdicts = run_tests(b_prev, b_next, schedule.ids)
-        ctx = build_context(b_prev, b_next, schedule.ids, verdicts)
-        try:
-            q = metric.evaluate(schedule.ids, ctx)
-        except UndefinedMetricError:
-            q = None
+        q = _quality(metric, schedule.ids, build_context(b_prev, b_next, schedule.ids, verdicts))
         step = TransitionStep(
             transition,
             _snapshot(b_next, budget, q, schedule.ids),
@@ -322,16 +349,19 @@ def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
 
 @dataclass(frozen=True)
 class BuildVerification:
-    """Field-by-field comparison result for one build's record."""
+    """One build's comparison of the live run with the replay of its record."""
 
     build_index: int
-    ok: bool
     mismatches: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
-    """Per-build verification that a recording captures the live run."""
+    """Per-build verification that a recording reproduces the live run."""
 
     builds: tuple[BuildVerification, ...]
 
@@ -341,32 +371,31 @@ class CompletenessReport:
 
 
 def check_completeness(
-    strategy_factory: Callable[[], Strategy],
+    strategy: Strategy,
     chain: BuildChain,
     windows: Sequence[Rtw],
     metric: QualityMetric,
     *,
     eval_context: EvalContext | None = None,
 ) -> CompletenessReport:
-    """Verify, build by build, that the recorded tuples match a live run.
+    """Verify, build by build, that the recording reproduces the live run.
 
-    Records the strategy once, runs a second fresh instance live, and
-    compares every field of every record. Any mismatch marks that build
-    failed; for the deterministic built-in strategies a failure indicates
-    a bug in the recording machinery, not an acceptable outcome.
+    Runs the strategy once and replays the trace of that run (a record that
+    breaks its snapshot or contract raises :class:`TraceDivergenceError`).
+    Each build's live schedule and verdicts must equal the replayed ones,
+    and its recorded ``q_value`` the one the metric and eval context give
+    the replayed verdicts (``None`` for build 1). A mismatch names the field.
     """
-    recorded = record_trace(
-        strategy_factory(), chain, windows, metric, eval_context=eval_context
-    )
-    live = record_trace(
-        strategy_factory(), chain, windows, metric, eval_context=eval_context
-    )
+    steps = tuple(run_transitions(strategy, chain, windows, metric, eval_context=eval_context))
+    trace = Trace.of_run(chain, (step.record for step in steps))
+    build_context = eval_context or _default_eval_context
     results: list[BuildVerification] = []
-    for rec, live_rec in zip(recorded.tuples, live.tuples):
-        mismatches = tuple(
-            name
-            for name in ("program_id", "spec_ids", "test_ids", "delta_tau", "q_value", "schedule")
-            if getattr(rec, name) != getattr(live_rec, name)
-        )
-        results.append(BuildVerification(rec.index, not mismatches, mismatches))
+    for rec, again, step in zip(trace.tuples, replay_trace(trace, chain), (None, *steps)):
+        ids, verdicts, q = again.schedule.ids, again.verdicts, None
+        live = (step.schedule.ids, step.verdicts) if step else ((), ())
+        if step:
+            t = step.transition
+            q = _quality(metric, ids, build_context(t.b_prev, t.b_next, ids, verdicts))
+        pairs = zip(("schedule", "verdicts", "q_value"), (*live, rec.q_value), (ids, verdicts, q))
+        results.append(BuildVerification(rec.index, tuple(n for n, a, b in pairs if a != b)))
     return CompletenessReport(tuple(results))

@@ -260,7 +260,7 @@ def test_c10_record_replay_round_trips_for_every_builtin_strategy():
             assert [s.verdicts for s in steps[1:]] == [o[1] for o in observed]
 
             report = check_completeness(
-                fresh, bundle.chain, windows, metric, eval_context=eval_ctx
+                fresh(), bundle.chain, windows, metric, eval_context=eval_ctx
             )
             assert report.all_verified, (name, seed)
 

@@ -13,9 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsched import ScenarioConfig, generate_chain
+from regsched import ScenarioConfig, generate_chain, run_scenario
 from regsched.cli import main
-from regsched.histio import dump_history, load_report, load_trace, serialize_history
+from regsched.histio import (
+    dump_history,
+    load_report,
+    load_trace,
+    report_to_dict,
+    serialize_history,
+)
 
 
 @pytest.fixture
@@ -285,6 +291,16 @@ class TestTraceCommands:
             ("trace", ("tuples", 1, "delta_tau"), True, "trace record 2"),
             ("trace", ("tuples", 1, "schedule"), ["ghost"], "trace record 2"),
             ("trace", ("tuples", 2, "index"), 7, "trace data"),
+            ("trace", ("tuples", 0, "index"), True, "trace record 1: index must be"),
+            ("trace", ("tuples", 0, "program_id"), True, "trace record 1: program_id must be"),
+            ("trace", ("tuples", 1, "q_value"), [1], "trace record 2: q_value must be"),
+            (
+                "trace", ("tuples", 1, "q_value"), "not a number",
+                "trace record 2: q_value must be",
+            ),
+            ("trace", ("tuples", 1, "q_value"), math.nan, "trace record 2: q_value must be"),
+            ("trace", ("tuples", 1, "test_ids"), "t001", "trace record 2: test_ids must be"),
+            ("trace", ("tuples", 1, "spec_ids"), "s001", "trace record 2: spec_ids must be"),
             # Build 1 has no predecessor, so none of its tests is a candidate.
             ("trace", ("tuples", 0, "schedule"), ["t001"], "build 1, field 'schedule'"),
             # Every test of build 2 costs far more than the recorded window of 40.
@@ -319,6 +335,13 @@ class TestTraceCommands:
             "delta-tau-a-bool",
             "schedule-outside-snapshot",
             "index-out-of-order",
+            "index-a-bool",
+            "program-id-a-bool",
+            "q-value-a-list",
+            "q-value-a-string",
+            "q-value-nan",
+            "test-ids-a-string",
+            "spec-ids-a-string",
             "schedule-outside-candidates",
             "schedule-over-delta-tau",
             "story-bv-negative",
@@ -600,6 +623,7 @@ FUZZ_HISTORY = serialize_history(
     generate_chain(ScenarioConfig(seed=12, n_builds=4, fault_rate=0.5))
 )
 RECORD_ARGS = ("--strategy", "retecs", "--metric", "fault-count", "--window", "40")
+FUZZ_REPORT = report_to_dict(run_scenario(ScenarioConfig(seed=12, n_builds=4, fault_rate=0.5)))
 
 
 def _paths(node, prefix=()):
@@ -654,6 +678,49 @@ def _assert_clean_exit(code, err):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "keys, value, fmt, names",
+    [
+        (("rows", 0, "schedule"), [1, 2], "csv", "$.rows[0].schedule[0]: expected a non-empty"),
+        (("rows", 0, "schedule"), "t001", "csv", "$.rows[0].schedule: expected a list"),
+        (("rows", 0, "failed"), [""], "csv", "$.rows[0].failed[0]: expected a non-empty"),
+        (("rows", 0, "total_cost"), True, "json", "$.rows[0].total_cost: expected an integer"),
+        (("rows", 0, "candidate_count"), 2.0, "csv", "$.rows[0].candidate_count: expected an"),
+        (("rows", 0, "q_value"), "0.5", "csv", "$.rows[0].q_value: expected a number"),
+        (("rows", 0, "regall_match"), 1, "csv", "$.rows[0].regall_match: expected a bool"),
+        (("aggregates", "mean_q"), math.inf, "json", "$.aggregates.mean_q: expected a finite"),
+        (("aggregates", "fault_recall"), [], "json", "$.aggregates.fault_recall: expected a"),
+        (("seed",), True, "json", "$.seed: expected an integer"),
+        (("schema",), 2, "json", "$.schema: unsupported version 2"),
+        (("schema",), REMOVE, "json", "$: missing field 'schema'"),
+    ],
+    ids=[
+        "schedule-of-ints",
+        "schedule-a-string",
+        "failed-empty-id",
+        "total-cost-a-bool",
+        "candidate-count-a-float",
+        "q-value-a-string",
+        "regall-match-an-int",
+        "mean-q-infinity",
+        "fault-recall-a-list",
+        "seed-a-bool",
+        "schema-2",
+        "schema-missing",
+    ],
+)
+def test_malformed_report_fails_cleanly(config_file, tmp_path, capsys, keys, value, fmt, names):
+    report = tmp_path / "report.json"
+    assert run_cli("simulate", "--config", config_file, "--out", report) == 0
+    report.write_text(json.dumps(_mutated(json.loads(report.read_text()), keys, value)))
+    code = run_cli("report", "--in", report, "--format", fmt, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ")
+    assert names in err
+    assert "Traceback" not in err
+
+
 class TestFileBoundaryFuzz:
     @given(st.sampled_from(list(_paths(FUZZ_HISTORY))), st.sampled_from(FUZZ_VALUES))
     @settings(max_examples=150, deadline=None)
@@ -677,4 +744,16 @@ class TestFileBoundaryFuzz:
             trace.write_text(json.dumps(_mutated(_recorded_trace(), path, value)))
             _assert_clean_exit(
                 *_run_quietly("trace", "replay", "--history", history, "--trace", trace)
+            )
+
+    @given(st.sampled_from(list(_paths(FUZZ_REPORT))), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_report_through_report_csv(self, path, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            report = Path(tmp) / "report.json"
+            report.write_text(json.dumps(_mutated(FUZZ_REPORT, path, value)))
+            _assert_clean_exit(
+                *_run_quietly(
+                    "report", "--in", report, "--format", "csv", "--out", Path(tmp) / "out.csv"
+                )
             )

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+import regsched.trace as trace_module
 from helpers import build, chain_of, tc
 from regsched import (
     BuildChain,
@@ -14,6 +15,7 @@ from regsched import (
     Transition,
     TransitionStep,
     ScenarioConfig,
+    apfd_metric,
     check_completeness,
     fault_count_metric,
     generate_chain,
@@ -253,11 +255,48 @@ class TestReplay:
             replay_trace(trace, diverging_chain(3))
 
 
+class CountingStrategy:
+    """Counts the plans of a wrapped strategy."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.plans = 0
+
+    def plan(self, transition):
+        self.plans += 1
+        return self.inner.plan(transition)
+
+    def observe(self, step):
+        self.inner.observe(step)
+
+
+def seeded_run(name, params):
+    """A fresh-strategy factory, chain and windows: seed 5, 10 builds, window 50."""
+    cfg = ScenarioConfig(seed=5, n_builds=10)
+    bundle = generate_chain(cfg)
+    windows = [Rtw.of_budget(50)] * (len(bundle.chain) - 1)
+
+    def fresh():
+        return make_strategy(name, params, graph=bundle.graph, metric=METRIC, seed=cfg.seed)
+
+    return fresh, bundle.chain, windows
+
+
+def _reverse_schedule(schedule, q_value):
+    return tuple(reversed(schedule)), q_value
+
+
+def _shift_q_value(schedule, q_value):
+    return schedule, None if q_value is None else q_value + 1
+
+
 class TestCompleteness:
     def test_retest_all_over_three_builds_verifies(self):
         chain = diverging_chain(3, diverge_at={2: ("a",)})
         report = check_completeness(
-            RetestAllStrategy, chain, [UNBOUNDED, UNBOUNDED], METRIC
+            RetestAllStrategy(), chain, [UNBOUNDED, UNBOUNDED], METRIC
         )
         assert report.all_verified
         assert [b.build_index for b in report.builds] == [1, 2, 3]
@@ -268,13 +307,52 @@ class TestCompleteness:
         ("random-k", {"k": 3}),
     ])
     def test_seeded_strategies_verify(self, name, params):
-        cfg = ScenarioConfig(seed=5, n_builds=10)
-        bundle = generate_chain(cfg)
-        windows = [Rtw.of_budget(50)] * (len(bundle.chain) - 1)
-
-        def fresh():
-            return make_strategy(name, params, graph=bundle.graph, metric=METRIC, seed=cfg.seed)
-
-        report = check_completeness(fresh, bundle.chain, windows, METRIC)
+        fresh, chain, windows = seeded_run(name, params)
+        assert record_trace(fresh(), chain, windows, METRIC) == record_trace(
+            fresh(), chain, windows, METRIC
+        )
+        report = check_completeness(fresh(), chain, windows, METRIC)
         assert report.all_verified
-        assert len(report.builds) == len(bundle.chain)
+        assert len(report.builds) == len(chain)
+
+    def test_each_transition_is_planned_once(self):
+        strategy = CountingStrategy(RetestAllStrategy())
+        report = check_completeness(strategy, diverging_chain(4), [UNBOUNDED] * 3, METRIC)
+        assert report.all_verified
+        assert strategy.plans == 3
+
+    def test_empty_chain_verifies_no_build(self):
+        report = check_completeness(RetestAllStrategy(), BuildChain(builds=()), [], METRIC)
+        assert report.builds == ()
+        assert report.all_verified
+
+    def test_metric_undefined_on_both_sides_verifies(self):
+        # No test ever fails, so APFD has no fault to detect on any build.
+        chain = diverging_chain(3)
+        metric = apfd_metric()
+        trace = record_trace(RetestAllStrategy(), chain, [UNBOUNDED] * 2, metric)
+        assert [t.q_value for t in trace.tuples] == [None, None, None]
+        assert check_completeness(RetestAllStrategy(), chain, [UNBOUNDED] * 2, metric).all_verified
+
+    @pytest.mark.parametrize(
+        "corrupt, expected",
+        [
+            (_reverse_schedule, lambda r: ("schedule", "verdicts") if len(r.schedule) > 1 else ()),
+            (_shift_q_value, lambda r: () if r.q_value is None else ("q_value",)),
+        ],
+        ids=["schedule-reversed", "q-value-shifted"],
+    )
+    def test_a_recorder_bug_fails_each_build_it_touches(self, monkeypatch, corrupt, expected):
+        fresh, chain, windows = seeded_run("retecs", {})
+        honest = record_trace(fresh(), chain, windows, METRIC)
+        snapshot = trace_module._snapshot
+
+        def faulty_snapshot(build, delta_tau=0, q_value=None, schedule=()):
+            schedule, q_value = corrupt(schedule, q_value)
+            return snapshot(build, delta_tau, q_value, schedule)
+
+        monkeypatch.setattr(trace_module, "_snapshot", faulty_snapshot)
+        report = check_completeness(fresh(), chain, windows, METRIC)
+        assert not report.all_verified
+        assert [b.mismatches for b in report.builds] == [expected(r) for r in honest.tuples]
+        assert all(b.ok == (b.mismatches == ()) for b in report.builds)
