@@ -34,6 +34,8 @@ from .histio import (
     report_to_csv,
     report_to_dict,
     serialize_history,
+    trace_from_dict,
+    trace_to_dict,
 )
 from .metrics import (
     MetricContext,

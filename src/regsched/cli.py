@@ -182,7 +182,7 @@ def _strategy_run(args):
     """What ``trace record`` and ``trace check`` run: strategy, chain, windows, metric, context."""
     bundle = ingest_history(args.history)
     metric = metric_by_name(args.metric)
-    windows = _windows_arg(args, len(bundle.chain) - 1)
+    windows = _windows_arg(args, max(len(bundle.chain) - 1, 0))
     params = {}
     if args.params:
         params = loads_json(args.params, lambda msg: ConfigurationError(msg, field="params"))

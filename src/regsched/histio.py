@@ -10,8 +10,14 @@ The history schema (``"schema": 1``) records a chain and its side data:
 * ``coverage``  - story_id -> test_ids
 * ``faults``    - fault_id -> detecting_test_ids
 
-Validation reports the JSON path of the offending field. Builds repeat
-their story and test rows, and a parse validates and builds each
+A trace file holds ``tuples``, one record per build: index (1..n),
+program_id, spec_ids, test_ids, delta_tau (an integer >= 0 or ``"inf"``),
+q_value (a finite number or null) and a schedule drawn from test_ids. A
+report file holds a :class:`RunReport`'s rows and aggregates.
+
+Validation of all three files names the JSON path of the offending
+field, with one set of ``_expect*`` checks. Builds repeat their story
+and test rows, and a parse validates and builds each
 distinct row once: every copy shares that one ``UserStory`` or
 ``TestCase``, and per-build checks still run on each copy. Serialization
 is canonical (sorted keys and rows, ``json.dumps(sort_keys=True,
@@ -50,7 +56,7 @@ from .model import (
 )
 from .regall import run_tests
 from .simulate import HistoryBundle, RunReport, TransitionRow
-from .trace import Trace
+from .trace import Trace, TraceTuple
 
 SCHEMA_VERSION = 1
 
@@ -603,9 +609,54 @@ def load_report(path: str | Path) -> RunReport:
 # --- traces ----------------------------------------------------------------
 
 
+def trace_to_dict(trace: Trace) -> dict:
+    return {
+        "tuples": [
+            {
+                "index": t.index,
+                "program_id": t.program_id,
+                "spec_ids": list(t.spec_ids),
+                "test_ids": list(t.test_ids),
+                "delta_tau": "inf" if t.delta_tau is None else t.delta_tau,
+                "q_value": t.q_value,
+                "schedule": list(t.schedule),
+            }
+            for t in trace.tuples
+        ]
+    }
+
+
+def trace_from_dict(data: dict) -> Trace:
+    """Validate trace JSON; every bad field is named by its JSON path."""
+    records = []
+    for n, row in enumerate(_expect_list(data, "tuples", "$")):
+        path = f"$.tuples[{n}]"
+        index = _expect_int(row, "index", path)
+        if index != n + 1:
+            raise HistoryFormatError(f"{path}.index: trace indices must run 1..n, got {index}")
+        delta_tau = _expect(row, "delta_tau", path)
+        if delta_tau != "inf" and (type(delta_tau) is not int or delta_tau < 0):
+            raise HistoryFormatError(
+                f"{path}.delta_tau: expected an integer >= 0 or 'inf', got {delta_tau!r}"
+            )
+        fields = dict(
+            program_id=_expect_int(row, "program_id", path),
+            spec_ids=_expect_ids(row, "spec_ids", path),
+            test_ids=_expect_ids(row, "test_ids", path),
+            delta_tau=None if delta_tau == "inf" else delta_tau,
+            q_value=_expect_optional_number(row, "q_value", path),
+            schedule=_expect_ids(row, "schedule", path),
+        )
+        try:
+            records.append(TraceTuple(index, **fields))
+        except ValueError as exc:  # the schedule leaves the snapshot's tests
+            raise HistoryFormatError(f"{path}.schedule: {exc}") from exc
+    return Trace(tuple(records))
+
+
 def dump_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(trace.to_dict()))
+    Path(path).write_text(dumps_canonical(trace_to_dict(trace)))
 
 
 def load_trace(path: str | Path) -> Trace:
-    return Trace.from_dict(read_json(path))
+    return trace_from_dict(read_json(path))

@@ -16,7 +16,7 @@ fractions are configuration, nothing more.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import mean
 from typing import Mapping, Sequence
 
@@ -134,12 +134,7 @@ class ScenarioConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
         if not isinstance(data, Mapping):
             raise ConfigurationError("must be a JSON object", field="config")
-        known = {
-            "seed", "n_builds", "n_tests", "n_stories", "n_classes",
-            "transition_mix", "window_policy", "window_value", "window_values",
-            "fault_rate", "strategy", "strategy_params", "metric",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(f"unknown fields {sorted(unknown)}", field="config")
         if "seed" not in data:

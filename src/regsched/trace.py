@@ -15,7 +15,8 @@ schedules and verdicts bit for bit, and enforces the same per-build
 contract as recording: a schedule outside its candidates or over its
 ``delta_tau`` is rejected. :func:`check_completeness` tests that claim on
 one run: it replays the run's own records and compares each build's
-schedule, verdicts and quality value with what ran.
+schedule, verdicts, budget and quality value with what ran. The trace
+file format lives in :mod:`regsched.histio`; this module knows no JSON.
 
 Build 1 has no predecessor, so its record carries an empty schedule, a
 zero budget, and no quality value. Records with an unbounded budget are
@@ -25,14 +26,12 @@ time-boxed pipelines can reject them as policy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .budget import Rtw, Schedule
 from .errors import (
     BuildOrderError,
-    HistoryFormatError,
     InfeasibleScheduleError,
     TraceDivergenceError,
     UndefinedMetricError,
@@ -124,70 +123,6 @@ class Trace:
     def of_run(cls, chain: BuildChain, records: Iterable[TraceTuple]) -> "Trace":
         """Build 1's empty record followed by one record per transition."""
         return cls((_snapshot(chain.builds[0]), *records) if chain.builds else ())
-
-    def to_dict(self) -> dict:
-        return {
-            "tuples": [
-                {
-                    "index": t.index,
-                    "program_id": t.program_id,
-                    "spec_ids": list(t.spec_ids),
-                    "test_ids": list(t.test_ids),
-                    "delta_tau": "inf" if t.delta_tau is None else t.delta_tau,
-                    "q_value": t.q_value,
-                    "schedule": list(t.schedule),
-                }
-                for t in self.tuples
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trace":
-        where = "trace data"
-        try:
-            records = []
-            for position, row in enumerate(data["tuples"], start=1):
-                where = f"trace record {position}"
-                delta = _field(row, "delta_tau", _is_budget, "an integer >= 0 or 'inf'")
-                records.append(
-                    TraceTuple(
-                        index=_field(row, "index", _is_int, "an integer"),
-                        program_id=_field(row, "program_id", _is_int, "an integer"),
-                        spec_ids=tuple(_field(row, "spec_ids", _is_ids, "a list of strings")),
-                        test_ids=tuple(_field(row, "test_ids", _is_ids, "a list of strings")),
-                        delta_tau=None if delta == "inf" else delta,
-                        q_value=_field(row, "q_value", _is_quality, "a finite number or null"),
-                        schedule=tuple(_field(row, "schedule", _is_ids, "a list of strings")),
-                    )
-                )
-            where = "trace data"
-            return cls(tuple(records))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HistoryFormatError(f"malformed {where}: {exc}") from exc
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_budget(value: object) -> bool:
-    return value == "inf" or (_is_int(value) and value >= 0)
-
-
-def _is_ids(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(i, str) for i in value)
-
-
-def _is_quality(value: object) -> bool:
-    return value is None or _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-def _field(row: dict, name: str, valid: Callable[[object], bool], expected: str):
-    """``row[name]``, or a ``ValueError`` saying what the field must be."""
-    value = row[name]
-    if not valid(value):
-        raise ValueError(f"{name} must be {expected}, got {value!r}")
-    return value
 
 
 def _default_eval_context(
@@ -383,19 +318,22 @@ def check_completeness(
     Runs the strategy once and replays the trace of that run (a record that
     breaks its snapshot or contract raises :class:`TraceDivergenceError`).
     Each build's live schedule and verdicts must equal the replayed ones,
+    its recorded ``delta_tau`` the live window's budget (0 for build 1),
     and its recorded ``q_value`` the one the metric and eval context give
     the replayed verdicts (``None`` for build 1). A mismatch names the field.
     """
     steps = tuple(run_transitions(strategy, chain, windows, metric, eval_context=eval_context))
     trace = Trace.of_run(chain, (step.record for step in steps))
     build_context = eval_context or _default_eval_context
+    names = ("schedule", "verdicts", "delta_tau", "q_value")
     results: list[BuildVerification] = []
     for rec, again, step in zip(trace.tuples, replay_trace(trace, chain), (None, *steps)):
         ids, verdicts, q = again.schedule.ids, again.verdicts, None
-        live = (step.schedule.ids, step.verdicts) if step else ((), ())
+        live = ((), (), 0)
         if step:
             t = step.transition
+            live = (step.schedule.ids, step.verdicts, t.window.budget())
             q = _quality(metric, ids, build_context(t.b_prev, t.b_next, ids, verdicts))
-        pairs = zip(("schedule", "verdicts", "q_value"), (*live, rec.q_value), (ids, verdicts, q))
+        pairs = zip(names, (*live, rec.q_value), (ids, verdicts, rec.delta_tau, q))
         results.append(BuildVerification(rec.index, tuple(n for n, a, b in pairs if a != b)))
     return CompletenessReport(tuple(results))

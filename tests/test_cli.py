@@ -285,22 +285,40 @@ class TestTraceCommands:
     @pytest.mark.parametrize(
         "document, keys, value, names",
         [
-            ("trace", ("tuples", 1, "delta_tau"), "abc", "trace record 2"),
-            ("trace", ("tuples", 1, "delta_tau"), 2.5, "trace record 2"),
-            ("trace", ("tuples", 1, "delta_tau"), "7", "trace record 2"),
-            ("trace", ("tuples", 1, "delta_tau"), True, "trace record 2"),
-            ("trace", ("tuples", 1, "schedule"), ["ghost"], "trace record 2"),
-            ("trace", ("tuples", 2, "index"), 7, "trace data"),
-            ("trace", ("tuples", 0, "index"), True, "trace record 1: index must be"),
-            ("trace", ("tuples", 0, "program_id"), True, "trace record 1: program_id must be"),
-            ("trace", ("tuples", 1, "q_value"), [1], "trace record 2: q_value must be"),
+            (
+                "trace", ("tuples", 1, "delta_tau"), "abc",
+                "$.tuples[1].delta_tau: expected an integer >= 0 or 'inf', got 'abc'",
+            ),
+            ("trace", ("tuples", 1, "delta_tau"), 2.5, "$.tuples[1].delta_tau: "),
+            ("trace", ("tuples", 1, "delta_tau"), "7", "$.tuples[1].delta_tau: "),
+            ("trace", ("tuples", 1, "delta_tau"), True, "$.tuples[1].delta_tau: "),
+            ("trace", ("tuples", 1, "schedule"), ["ghost"], "$.tuples[1].schedule: "),
+            ("trace", ("tuples", 2, "index"), 7, "$.tuples[2].index: "),
+            ("trace", ("tuples", 0, "index"), True, "$.tuples[0].index: expected an integer"),
+            (
+                "trace", ("tuples", 0, "program_id"), True,
+                "$.tuples[0].program_id: expected an integer",
+            ),
+            ("trace", ("tuples", 1, "q_value"), [1], "$.tuples[1].q_value: expected a number"),
             (
                 "trace", ("tuples", 1, "q_value"), "not a number",
-                "trace record 2: q_value must be",
+                "$.tuples[1].q_value: expected a number",
             ),
-            ("trace", ("tuples", 1, "q_value"), math.nan, "trace record 2: q_value must be"),
-            ("trace", ("tuples", 1, "test_ids"), "t001", "trace record 2: test_ids must be"),
-            ("trace", ("tuples", 1, "spec_ids"), "s001", "trace record 2: spec_ids must be"),
+            ("trace", ("tuples", 1, "q_value"), math.nan, "$.tuples[1].q_value: expected a finite"),
+            ("trace", ("tuples", 1, "test_ids"), "t001", "$.tuples[1].test_ids: expected a list"),
+            ("trace", ("tuples", 1, "spec_ids"), "s001", "$.tuples[1].spec_ids: expected a list"),
+            (
+                "trace", ("tuples", 1, "test_ids", 0), "",
+                "$.tuples[1].test_ids[0]: expected a non-empty string",
+            ),
+            (
+                "trace", ("tuples", 1, "spec_ids", 0), "",
+                "$.tuples[1].spec_ids[0]: expected a non-empty string",
+            ),
+            (
+                "trace", ("tuples", 1, "schedule"), [""],
+                "$.tuples[1].schedule[0]: expected a non-empty string",
+            ),
             # Build 1 has no predecessor, so none of its tests is a candidate.
             ("trace", ("tuples", 0, "schedule"), ["t001"], "build 1, field 'schedule'"),
             # Every test of build 2 costs far more than the recorded window of 40.
@@ -342,6 +360,9 @@ class TestTraceCommands:
             "q-value-nan",
             "test-ids-a-string",
             "spec-ids-a-string",
+            "test-id-empty",
+            "spec-id-empty",
+            "schedule-id-empty",
             "schedule-outside-candidates",
             "schedule-over-delta-tau",
             "story-bv-negative",
@@ -530,6 +551,21 @@ class TestTraceCommands:
             == 1
         )
         assert "window" in capsys.readouterr().err
+
+    def test_window_count_on_an_empty_history(self, tmp_path, capsys):
+        history = tmp_path / "empty.json"
+        history.write_text(
+            json.dumps(
+                {"schema": 1, "builds": [], "behavior": [], "dep_edges": [], "coverage": [],
+                 "faults": []}
+            )
+        )
+        code = run_cli(
+            "trace", "record", "--history", history, "--strategy", "retest-all",
+            "--windows", "5", "--out", tmp_path / "t.json",
+        )
+        assert code == 1
+        assert "need 0 window values, got 1" in capsys.readouterr().err
 
 
 class TestReportCommand:

@@ -31,6 +31,7 @@ from regsched.histio import (
     report_from_dict,
     report_to_csv,
     report_to_dict,
+    trace_to_dict,
     REPORT_COLUMNS,
 )
 from regsched.errors import HistoryFormatError, ReferentialIntegrityError
@@ -223,7 +224,7 @@ class TestCanonicalWriter:
         cfg = ScenarioConfig(seed=8, n_builds=6, strategy="retecs")
         report, trace = run_scenario_with_trace(cfg)
         for doc in (
-            serialize_history(generate_chain(cfg)), trace.to_dict(), report_to_dict(report)
+            serialize_history(generate_chain(cfg)), trace_to_dict(trace), report_to_dict(report)
         ):
             assert encode_indented(doc) + "\n" == dumps_canonical_oracle(doc)
 

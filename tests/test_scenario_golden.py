@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regsched import ScenarioConfig, generate_chain, replay_trace, run_scenario_with_trace
-from regsched.histio import dumps_canonical, report_to_dict
+from regsched.histio import dumps_canonical, report_to_dict, trace_to_dict
 
 STRATEGIES = {
     "retest-all": {},
@@ -97,7 +97,7 @@ def test_report_and_trace_bytes_are_pinned(key):
     report, trace = run_scenario_with_trace(
         config(7, strategy, policy, n_tests=40, n_builds=15)
     )
-    assert (sha256(report_to_dict(report)), sha256(trace.to_dict())) == GOLDEN[key]
+    assert (sha256(report_to_dict(report)), sha256(trace_to_dict(trace))) == GOLDEN[key]
 
 
 @given(

@@ -23,6 +23,8 @@ from regsched import (
     record_trace,
     replay_trace,
     run_tests,
+    trace_from_dict,
+    trace_to_dict,
 )
 from regsched.errors import (
     HistoryFormatError,
@@ -89,12 +91,12 @@ class TestTraceTypes:
         trace = record_trace(
             RetestAllStrategy(), diverging_chain(3), [UNBOUNDED, Rtw.of_budget(7)], METRIC
         )
-        assert Trace.from_dict(trace.to_dict()) == trace
-        assert trace.to_dict()["tuples"][1]["delta_tau"] == "inf"
+        assert trace_from_dict(trace_to_dict(trace)) == trace
+        assert trace_to_dict(trace)["tuples"][1]["delta_tau"] == "inf"
 
     def test_malformed_dict_rejected(self):
         with pytest.raises(HistoryFormatError):
-            Trace.from_dict({"rows": []})
+            trace_from_dict({"rows": []})
 
 
 class TestRecord:
@@ -284,12 +286,16 @@ def seeded_run(name, params):
     return fresh, bundle.chain, windows
 
 
-def _reverse_schedule(schedule, q_value):
-    return tuple(reversed(schedule)), q_value
+def _reverse_schedule(delta_tau, q_value, schedule):
+    return delta_tau, q_value, tuple(reversed(schedule))
 
 
-def _shift_q_value(schedule, q_value):
-    return schedule, None if q_value is None else q_value + 1
+def _shift_q_value(delta_tau, q_value, schedule):
+    return delta_tau, None if q_value is None else q_value + 1, schedule
+
+
+def _unbound_delta_tau(delta_tau, q_value, schedule):
+    return None, q_value, schedule
 
 
 class TestCompleteness:
@@ -339,8 +345,9 @@ class TestCompleteness:
         [
             (_reverse_schedule, lambda r: ("schedule", "verdicts") if len(r.schedule) > 1 else ()),
             (_shift_q_value, lambda r: () if r.q_value is None else ("q_value",)),
+            (_unbound_delta_tau, lambda r: () if r.delta_tau is None else ("delta_tau",)),
         ],
-        ids=["schedule-reversed", "q-value-shifted"],
+        ids=["schedule-reversed", "q-value-shifted", "delta-tau-unbounded"],
     )
     def test_a_recorder_bug_fails_each_build_it_touches(self, monkeypatch, corrupt, expected):
         fresh, chain, windows = seeded_run("retecs", {})
@@ -348,7 +355,7 @@ class TestCompleteness:
         snapshot = trace_module._snapshot
 
         def faulty_snapshot(build, delta_tau=0, q_value=None, schedule=()):
-            schedule, q_value = corrupt(schedule, q_value)
+            delta_tau, q_value, schedule = corrupt(delta_tau, q_value, schedule)
             return snapshot(build, delta_tau, q_value, schedule)
 
         monkeypatch.setattr(trace_module, "_snapshot", faulty_snapshot)
