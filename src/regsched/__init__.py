@@ -85,7 +85,6 @@ from .simulate import (
     run_many,
     run_scenario,
     run_scenario_with_trace,
-    stable_failure_bundle,
     windows_for,
 )
 from .strategies import (

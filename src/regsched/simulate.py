@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, fields
 from statistics import mean
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budget import Rtw
 from .depgraph import DepGraph, build_graph
@@ -37,7 +37,7 @@ from .model import (
 )
 from .regall import reg_all
 from .strategies import make_strategy
-from .trace import Trace, TraceTuple, run_transitions
+from .trace import Trace, TransitionStep, run_transitions
 
 WINDOW_POLICIES = ("fixed", "list", "unbounded", "commit", "nightly", "sprint", "release")
 
@@ -448,38 +448,32 @@ class RunReport:
     fault_recall: float | None
 
 
-def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
-    """Run one scenario end to end, returning the report and its trace.
-
-    The named strategy plans every transition under the window policy.
-    Each transition runs once: its report row and its trace record come
-    from the same step, so report and trace cannot drift apart.
-    """
+def _run(cfg: ScenarioConfig) -> tuple[HistoryBundle, Iterator[TransitionStep]]:
     bundle = generate_chain(cfg)
     metric = metric_by_name(cfg.metric)
     strategy = make_strategy(
         cfg.strategy, cfg.strategy_params, graph=bundle.graph, metric=metric, seed=cfg.seed
     )
-    records: list[TraceTuple] = []
-    rows: list[TransitionRow] = []
-    detected = 0
-    for step in run_transitions(
+    return bundle, run_transitions(
         strategy, bundle.chain, windows_for(cfg, bundle), metric,
         eval_context=scenario_eval_context(bundle),
-    ):
+    )
+
+
+def _report(cfg: ScenarioConfig, bundle: HistoryBundle, steps: Iterable[TransitionStep]):
+    """The run's report, one row per step as the steps arrive."""
+    rows: list[TransitionRow] = []
+    detected = 0
+    for step in steps:
         transition, verdicts = step.transition, step.verdicts
         b_prev, b_next = transition.b_prev, transition.b_next
         births = active_faults(bundle, b_next.index)
         executed = set(step.schedule.ids)
-        undetected = tuple(
-            sorted(f for f, detectors in births.items() if not detectors & executed)
-        )
+        undetected = tuple(sorted(f for f, tests in births.items() if not tests & executed))
         detected += len(births) - len(undetected)
-        match: bool | None = None
+        match = None
         if transition.window.is_unbounded:
-            reference = reg_all(b_prev, b_next, transition.window)
-            match = tuple(sorted(verdicts)) == reference.verdicts
-        records.append(step.record)
+            match = tuple(sorted(verdicts)) == reg_all(b_prev, b_next, transition.window).verdicts
         rows.append(
             TransitionRow(
                 build_index=b_next.index,
@@ -487,16 +481,14 @@ def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
                 candidate_count=len(transition.candidates),
                 schedule=step.schedule.ids,
                 total_cost=step.schedule.total_cost,
-                q_value=step.record.q_value,
+                q_value=step.q_value,
                 failed=tuple(sorted(v.test_id for v in verdicts if not v.consistent)),
                 undetected_faults=undetected,
                 regall_match=match,
             )
         )
-    trace = Trace.of_run(bundle.chain, records)
-
     defined_q = [r.q_value for r in rows if r.q_value is not None]
-    report = RunReport(
+    return RunReport(
         seed=cfg.seed,
         strategy=cfg.strategy,
         metric=cfg.metric,
@@ -505,77 +497,20 @@ def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
         total_cost=sum(r.total_cost for r in rows),
         fault_recall=detected / len(bundle.faults) if bundle.faults else None,
     )
-    return report, trace
+
+
+def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
+    """Run one scenario and return its report and trace, both read from one run's steps."""
+    bundle, steps = _run(cfg)
+    kept = tuple(steps)
+    return _report(cfg, bundle, kept), Trace.of_run(bundle.chain, kept)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    """Run one scenario and return its report."""
-    report, _ = run_scenario_with_trace(cfg)
-    return report
+    """Run one scenario and return its report; no step is kept and no trace record made."""
+    return _report(cfg, *_run(cfg))
 
 
 def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
     """Run independent scenarios one after another, in order."""
     return [run_scenario(cfg) for cfg in cfgs]
-
-
-def stable_failure_bundle(
-    n_tests: int = 20, n_cycles: int = 30, n_flaky: int = 4, seed: int = 7
-) -> HistoryBundle:
-    """A chain with a fixed set of tests diverging at every transition.
-
-    Useful for studying adaptive strategies: the same ``n_flaky`` tests
-    change outcome on every build, each divergence recorded as a fresh
-    fault detected only by its test. The chain has ``n_cycles + 1``
-    builds, all program-only changes.
-    """
-    rng = random.Random(seed)
-    tests = [
-        TestCase(
-            id=f"t{n:03d}",
-            inp=f"in-{n:03d}",
-            expected=f"ok-{n:03d}",
-            exectime=rng.randint(1, 15),
-            setup=rng.randint(0, 5),
-        )
-        for n in range(1, n_tests + 1)
-    ]
-    flaky = sorted(rng.sample([t.id for t in tests], n_flaky))
-    story = UserStory(id="s001", bv=5, sp=3)
-    coverage = {"s001": frozenset(t.id for t in tests[:3])}
-
-    builds = []
-    faults: dict[str, frozenset[str]] = {}
-    births: dict[str, int] = {}
-    for i in range(1, n_cycles + 2):
-        behavior = {
-            t.id: (f"state-{i:03d}" if t.id in flaky else t.expected) for t in tests
-        }
-        builds.append(
-            Build(
-                index=i,
-                program=ProgramVersion(i, behavior),
-                specs=SpecSet(frozenset({story})),
-                tests=frozenset(tests),
-                ready_at=(i - 1) * 10,
-            )
-        )
-        if i >= 2:
-            for t in flaky:
-                fault_id = f"F{i:03d}-{t}"
-                faults[fault_id] = frozenset({t})
-                births[fault_id] = i
-
-    graph = build_graph(
-        classes=["c01"],
-        tests=[t.id for t in tests],
-        class_deps=[],
-        test_links=[(t.id, "c01") for t in tests],
-    )
-    chain = BuildChain(
-        builds=tuple(builds),
-        iterations=(Iteration(index=1, first_build=1, last_build=n_cycles + 1),),
-    )
-    return HistoryBundle(
-        chain=chain, graph=graph, coverage=coverage, faults=faults, fault_births=births
-    )

@@ -8,9 +8,9 @@ a budget-feasible schedule plus an ``observe(step)`` that learns from the
 captured losslessly as one record per build: the program id, story ids,
 test ids, the window budget, the realized quality value, and the exact
 executed ordering. :func:`run_transitions` is the one place a strategy
-runs; each step it yields holds the transition, the record, the priced
-schedule and the verdicts, so recording and reporting share one execution.
-Replaying the records against the same chain reproduces the original
+runs; each step holds the transition, the priced schedule, the verdicts
+and the quality value, and :meth:`Trace.of_run` alone turns steps into
+records. Replaying them against the same chain reproduces the original
 schedules and verdicts bit for bit, and enforces the same per-build
 contract as recording: a schedule outside its candidates or over its
 ``delta_tau`` is rejected. :func:`check_completeness` tests that claim on
@@ -120,8 +120,9 @@ class Trace:
         return len(self.tuples)
 
     @classmethod
-    def of_run(cls, chain: BuildChain, records: Iterable[TraceTuple]) -> "Trace":
-        """Build 1's empty record followed by one record per transition."""
+    def of_run(cls, chain: BuildChain, steps: Iterable[TransitionStep]) -> "Trace":
+        """Build 1's empty record followed by one record per step of the chain's run."""
+        records = (_snapshot(step.transition.b_next, step) for step in steps)
         return cls((_snapshot(chain.builds[0]), *records) if chain.builds else ())
 
 
@@ -139,15 +140,16 @@ def _quality(metric: QualityMetric, ids: Sequence[str], ctx: MetricContext) -> f
         return None
 
 
-def _snapshot(build: Build, delta_tau=0, q_value=None, schedule=()) -> TraceTuple:
+def _snapshot(build: Build, step: TransitionStep | None = None) -> TraceTuple:
+    """``build``'s record of ``step``; with no step, build 1's empty record."""
     return TraceTuple(
         index=build.index,
         program_id=build.program.id,
         spec_ids=tuple(sorted(build.story_ids())),
         test_ids=tuple(sorted(build.test_ids())),
-        delta_tau=delta_tau,
-        q_value=q_value,
-        schedule=schedule,
+        delta_tau=step.transition.window.budget() if step else 0,
+        q_value=step.q_value if step else None,
+        schedule=step.schedule.ids if step else (),
     )
 
 
@@ -168,14 +170,14 @@ def _contract_breach(
 class TransitionStep:
     """One build pair, run once: what every consumer of the run reads.
 
-    ``schedule`` is priced from the transition's durations (the cost a
-    replay of ``record`` computes), not taken from the strategy's own total.
+    ``schedule`` is priced from the transition's durations, not taken
+    from the strategy's total; ``q_value`` is None if the metric is undefined.
     """
 
     transition: Transition
-    record: TraceTuple
     schedule: Schedule
     verdicts: tuple[Verdict, ...]
+    q_value: float | None
 
 
 def run_transitions(
@@ -205,18 +207,13 @@ def run_transitions(
             )
         transition = Transition.of(b_prev, b_next, window)
         schedule = strategy.plan(transition)
-        budget = window.budget()
-        breach = _contract_breach(schedule.ids, transition.durations, budget)
+        breach = _contract_breach(schedule.ids, transition.durations, window.budget())
         if breach:
             raise InfeasibleScheduleError(b_next.index, breach[1])
         verdicts = run_tests(b_prev, b_next, schedule.ids)
         q = _quality(metric, schedule.ids, build_context(b_prev, b_next, schedule.ids, verdicts))
-        step = TransitionStep(
-            transition,
-            _snapshot(b_next, budget, q, schedule.ids),
-            Schedule.from_ids(schedule.ids, transition.durations, **schedule.meta),
-            verdicts,
-        )
+        priced = Schedule.from_ids(schedule.ids, transition.durations, **schedule.meta)
+        step = TransitionStep(transition, priced, verdicts, q)
         strategy.observe(step)
         yield step
 
@@ -235,7 +232,7 @@ def record_trace(
     ordering and the quality value realized for it.
     """
     steps = run_transitions(strategy, chain, windows, metric, eval_context=eval_context)
-    return Trace.of_run(chain, (step.record for step in steps))
+    return Trace.of_run(chain, steps)
 
 
 @dataclass(frozen=True)
@@ -248,9 +245,14 @@ class ReplayStep:
 
 
 def _check_snapshot(record: TraceTuple, build: Build) -> None:
-    expected = _snapshot(build)
-    for name in ("index", "program_id", "spec_ids", "test_ids"):
-        if getattr(record, name) != getattr(expected, name):
+    # Read off the build, not through the recorder's _snapshot, so a recorder bug shows.
+    for name, value in (
+        ("index", build.index),
+        ("program_id", build.program.id),
+        ("spec_ids", tuple(sorted(build.story_ids()))),
+        ("test_ids", tuple(sorted(build.test_ids()))),
+    ):
+        if getattr(record, name) != value:
             raise TraceDivergenceError(build.index, name)
 
 
@@ -323,7 +325,7 @@ def check_completeness(
     the replayed verdicts (``None`` for build 1). A mismatch names the field.
     """
     steps = tuple(run_transitions(strategy, chain, windows, metric, eval_context=eval_context))
-    trace = Trace.of_run(chain, (step.record for step in steps))
+    trace = Trace.of_run(chain, steps)
     build_context = eval_context or _default_eval_context
     names = ("schedule", "verdicts", "delta_tau", "q_value")
     results: list[BuildVerification] = []

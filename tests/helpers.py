@@ -8,6 +8,7 @@ tests never assert an implementation against itself.
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -15,11 +16,13 @@ from regsched import (
     Build,
     BuildChain,
     DepGraph,
+    HistoryBundle,
     Iteration,
     ProgramVersion,
     SpecSet,
     TestCase,
     UserStory,
+    build_graph,
 )
 
 DIVERGED = "DIVERGED"
@@ -85,6 +88,68 @@ def chain_of(*builds_seq) -> BuildChain:
             ),
         )
     return BuildChain(builds=builds_seq, iterations=iterations)
+
+
+def stable_failure_bundle(
+    n_tests: int = 20, n_cycles: int = 30, n_flaky: int = 4, seed: int = 7
+) -> HistoryBundle:
+    """A chain with a fixed set of tests diverging at every transition.
+
+    Useful for studying adaptive strategies: the same ``n_flaky`` tests
+    change outcome on every build, each divergence recorded as a fresh
+    fault detected only by its test. The chain has ``n_cycles + 1``
+    builds, all program-only changes.
+    """
+    rng = random.Random(seed)
+    tests = [
+        TestCase(
+            id=f"t{n:03d}",
+            inp=f"in-{n:03d}",
+            expected=f"ok-{n:03d}",
+            exectime=rng.randint(1, 15),
+            setup=rng.randint(0, 5),
+        )
+        for n in range(1, n_tests + 1)
+    ]
+    flaky = sorted(rng.sample([t.id for t in tests], n_flaky))
+    story = UserStory(id="s001", bv=5, sp=3)
+    coverage = {"s001": frozenset(t.id for t in tests[:3])}
+
+    builds = []
+    faults: dict[str, frozenset[str]] = {}
+    births: dict[str, int] = {}
+    for i in range(1, n_cycles + 2):
+        behavior = {
+            t.id: (f"state-{i:03d}" if t.id in flaky else t.expected) for t in tests
+        }
+        builds.append(
+            Build(
+                index=i,
+                program=ProgramVersion(i, behavior),
+                specs=SpecSet(frozenset({story})),
+                tests=frozenset(tests),
+                ready_at=(i - 1) * 10,
+            )
+        )
+        if i >= 2:
+            for t in flaky:
+                fault_id = f"F{i:03d}-{t}"
+                faults[fault_id] = frozenset({t})
+                births[fault_id] = i
+
+    graph = build_graph(
+        classes=["c01"],
+        tests=[t.id for t in tests],
+        class_deps=[],
+        test_links=[(t.id, "c01") for t in tests],
+    )
+    chain = BuildChain(
+        builds=tuple(builds),
+        iterations=(Iteration(index=1, first_build=1, last_build=n_cycles + 1),),
+    )
+    return HistoryBundle(
+        chain=chain, graph=graph, coverage=coverage, faults=faults, fault_births=births
+    )
 
 
 # --- oracles ---------------------------------------------------------------

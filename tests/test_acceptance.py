@@ -16,6 +16,7 @@ from helpers import (
     affected_oracle,
     chain_of,
     min_cover_oracle,
+    stable_failure_bundle,
     tc,
     two_builds,
 )
@@ -40,7 +41,6 @@ from regsched import (
     run_scenario,
     scope,
     scope_bruteforce,
-    stable_failure_bundle,
     ttcp,
 )
 from regsched.histio import dumps_canonical, report_to_csv, report_to_dict

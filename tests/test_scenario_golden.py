@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regsched import ScenarioConfig, generate_chain, replay_trace, run_scenario_with_trace
+from regsched import (
+    ScenarioConfig,
+    generate_chain,
+    replay_trace,
+    run_scenario,
+    run_scenario_with_trace,
+)
 from regsched.histio import dumps_canonical, report_to_dict, trace_to_dict
 
 STRATEGIES = {
@@ -109,6 +115,7 @@ def test_report_and_trace_bytes_are_pinned(key):
 def test_report_rows_agree_with_replaying_the_trace(seed, strategy, policy):
     cfg = config(seed, strategy, policy, n_tests=15, n_builds=6)
     report, trace = run_scenario_with_trace(cfg)
+    assert run_scenario(cfg) == report
     steps = replay_trace(trace, generate_chain(cfg).chain)
     assert len(report.rows) == len(steps) - 1
     for row, step in zip(report.rows, steps[1:]):

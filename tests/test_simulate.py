@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsched.trace as trace_module
+from helpers import stable_failure_bundle
 from regsched import (
     ScenarioConfig,
     TransitionKind,
@@ -10,7 +12,6 @@ from regsched import (
     generate_chain,
     run_scenario,
     run_scenario_with_trace,
-    stable_failure_bundle,
     windows_for,
 )
 from regsched.errors import ConfigurationError
@@ -198,6 +199,16 @@ class TestRunScenario:
             assert row.schedule == ()
             assert row.q_value is None
         assert report.mean_q is None
+
+    def test_makes_no_trace_record(self, monkeypatch):
+        cfg = ScenarioConfig(seed=8, n_builds=8, strategy="retecs")
+        expected = run_scenario(cfg)
+
+        def no_record(*args):
+            raise AssertionError("run_scenario made a trace record")
+
+        monkeypatch.setattr(trace_module, "_snapshot", no_record)
+        assert run_scenario(cfg) == expected
 
     def test_rows_count_transitions(self):
         report = run_scenario(ScenarioConfig(seed=8, n_builds=10))

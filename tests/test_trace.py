@@ -146,11 +146,7 @@ class TestRecord:
                 q = metric.evaluate(sched.ids, MetricContext.from_verdicts(verdicts))
             except UndefinedMetricError:
                 q = None
-            record = TraceTuple(
-                b_next.index, b_next.program.id, tuple(sorted(b_next.story_ids())),
-                tuple(sorted(b_next.test_ids())), window.budget(), q, sched.ids,
-            )
-            direct.observe(TransitionStep(transition, record, sched, verdicts))
+            direct.observe(TransitionStep(transition, sched, verdicts, q))
             manual.append(sched.ids)
         assert [t.schedule for t in trace.tuples[1:]] == manual
 
@@ -183,6 +179,18 @@ class TestRecord:
                 t.id: t.duration for t in bundle.chain.build(record.index).tests
             }
             assert sum(durations[i] for i in record.schedule) <= record.delta_tau
+
+
+def _shift_program_id(record):
+    return dataclasses.replace(record, program_id=record.program_id + 100)
+
+
+def _extra_spec_id(record):
+    return dataclasses.replace(record, spec_ids=(*record.spec_ids, "zzz"))
+
+
+def _extra_test_id(record):
+    return dataclasses.replace(record, test_ids=(*record.test_ids, "zzz"))
 
 
 class TestReplay:
@@ -222,17 +230,22 @@ class TestReplay:
         ]
         assert flips == [("b", True, False)]
 
-    def test_snapshot_divergence_names_build_and_field(self):
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("program_id", _shift_program_id),
+            ("spec_ids", _extra_spec_id),
+            ("test_ids", _extra_test_id),
+        ],
+        ids=["program-id", "spec-ids", "test-ids"],
+    )
+    def test_snapshot_divergence_names_build_and_field(self, field, tamper):
         chain = diverging_chain(2)
         trace = record_trace(RetestAllStrategy(), chain, [UNBOUNDED], METRIC)
-        other = chain_of(
-            chain.builds[0],
-            build(2, [tc(t) for t in ("a", "b", "x")], program_id=2),
-        )
+        tampered = tamper(trace.tuples[1])
         with pytest.raises(TraceDivergenceError) as exc:
-            replay_trace(trace, other)
-        assert exc.value.build_index == 2
-        assert exc.value.field == "test_ids"
+            replay_trace(Trace((trace.tuples[0], tampered)), chain)
+        assert (exc.value.build_index, exc.value.field) == (2, field)
 
     @pytest.mark.parametrize(
         "schedule, delta_tau, field",
@@ -286,16 +299,17 @@ def seeded_run(name, params):
     return fresh, bundle.chain, windows
 
 
-def _reverse_schedule(delta_tau, q_value, schedule):
-    return delta_tau, q_value, tuple(reversed(schedule))
+def _reverse_schedule(record):
+    return dataclasses.replace(record, schedule=tuple(reversed(record.schedule)))
 
 
-def _shift_q_value(delta_tau, q_value, schedule):
-    return delta_tau, None if q_value is None else q_value + 1, schedule
+def _shift_q_value(record):
+    q_value = record.q_value
+    return dataclasses.replace(record, q_value=None if q_value is None else q_value + 1)
 
 
-def _unbound_delta_tau(delta_tau, q_value, schedule):
-    return None, q_value, schedule
+def _unbound_delta_tau(record):
+    return dataclasses.replace(record, delta_tau=None)
 
 
 class TestCompleteness:
@@ -346,19 +360,26 @@ class TestCompleteness:
             (_reverse_schedule, lambda r: ("schedule", "verdicts") if len(r.schedule) > 1 else ()),
             (_shift_q_value, lambda r: () if r.q_value is None else ("q_value",)),
             (_unbound_delta_tau, lambda r: () if r.delta_tau is None else ("delta_tau",)),
+            # A corrupted snapshot is a divergence the replay raises at build 1.
+            (_shift_program_id, "program_id"),
+            (_extra_spec_id, "spec_ids"),
+            (_extra_test_id, "test_ids"),
         ],
-        ids=["schedule-reversed", "q-value-shifted", "delta-tau-unbounded"],
+        ids=[
+            "schedule-reversed", "q-value-shifted", "delta-tau-unbounded",
+            "program-id-shifted", "spec-id-added", "test-id-added",
+        ],
     )
     def test_a_recorder_bug_fails_each_build_it_touches(self, monkeypatch, corrupt, expected):
         fresh, chain, windows = seeded_run("retecs", {})
         honest = record_trace(fresh(), chain, windows, METRIC)
         snapshot = trace_module._snapshot
-
-        def faulty_snapshot(build, delta_tau=0, q_value=None, schedule=()):
-            delta_tau, q_value, schedule = corrupt(delta_tau, q_value, schedule)
-            return snapshot(build, delta_tau, q_value, schedule)
-
-        monkeypatch.setattr(trace_module, "_snapshot", faulty_snapshot)
+        monkeypatch.setattr(trace_module, "_snapshot", lambda *args: corrupt(snapshot(*args)))
+        if isinstance(expected, str):
+            with pytest.raises(TraceDivergenceError) as exc:
+                check_completeness(fresh(), chain, windows, METRIC)
+            assert (exc.value.build_index, exc.value.field) == (1, expected)
+            return
         report = check_completeness(fresh(), chain, windows, METRIC)
         assert not report.all_verified
         assert [b.mismatches for b in report.builds] == [expected(r) for r in honest.tuples]
