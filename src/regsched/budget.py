@@ -10,8 +10,10 @@ oracle kept deliberately naive for cross-checking.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping
 
 from .errors import ConfigurationError, InvalidCostError, OracleLimitError
 from .model import TestCase
@@ -96,21 +98,18 @@ class Schedule:
 
 
 def feasible_prefix(
-    ids: Sequence[str], durations: Mapping[str, int], window: Rtw
+    ids: Iterable[str], durations: Mapping[str, int], window: Rtw
 ) -> tuple[tuple[str, ...], int]:
-    """Longest prefix of ``ids`` whose cumulative duration fits the window."""
+    """Longest prefix of ``ids`` whose cumulative duration fits the window.
+
+    Durations are non-negative, so the cut bisects the running totals.
+    Every id must be priced, after the cut too (``KeyError`` otherwise).
+    """
+    ordered = tuple(ids)
+    totals = tuple(accumulate(map(durations.__getitem__, ordered)))
     budget = window.budget()
-    if budget is None:
-        return tuple(ids), sum(durations[i] for i in ids)
-    running = 0
-    kept: list[str] = []
-    for test_id in ids:
-        d = durations[test_id]
-        if running + d > budget:
-            break
-        running += d
-        kept.append(test_id)
-    return tuple(kept), running
+    n = len(ordered) if budget is None else bisect_right(totals, budget)
+    return ordered[:n], totals[n - 1] if n else 0
 
 
 def durations_by_id(candidates: Iterable[TestCase]) -> dict[str, int]:

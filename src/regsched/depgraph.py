@@ -19,6 +19,7 @@ Graph values are immutable; updates build new graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping
 
 from .budget import Rtw, Schedule, feasible_prefix
@@ -39,6 +40,14 @@ class DepGraph:
     @property
     def nodes(self) -> frozenset[str]:
         return self.classes | self.tests
+
+    @cached_property
+    def _upstream(self) -> dict[str, set[str]]:
+        """Inverted edges: each node's predecessors, built once per graph."""
+        upstream: dict[str, set[str]] = {}
+        for src, dst in self.class_deps | self.test_links:
+            upstream.setdefault(dst, set()).add(src)
+        return upstream
 
 
 def build_graph(
@@ -134,31 +143,20 @@ def affected_tests(
     """Candidate tests from which some changed class is reachable.
 
     Implemented as a reverse reachability sweep from the changed classes
-    over inverted edges; candidates absent from the graph have no edges
-    and are never selected.
+    over the graph's inverted edges, which it builds once and keeps;
+    candidates absent from the graph have no edges and are never selected.
     """
     unknown = set(changed_classes) - g.classes
     if unknown:
         raise UnknownNodeError(f"unknown changed classes: {sorted(unknown)}")
-    upstream: dict[str, set[str]] = {}
-    for src, dst in g.class_deps:
-        upstream.setdefault(dst, set()).add(src)
-    for src, dst in g.test_links:
-        upstream.setdefault(dst, set()).add(src)
     seen: set[str] = set()
     frontier = list(changed_classes)
-    reached_tests: set[str] = set()
     while frontier:
-        node = frontier.pop()
-        for pred in upstream.get(node, ()):
-            if pred in seen:
-                continue
-            seen.add(pred)
-            if pred in g.tests:
-                reached_tests.add(pred)
-            else:
+        for pred in g._upstream.get(frontier.pop(), ()):
+            if pred not in seen:
+                seen.add(pred)
                 frontier.append(pred)
-    return frozenset(reached_tests) & frozenset(candidates)
+    return g.tests.intersection(seen, candidates)
 
 
 @dataclass(frozen=True)
@@ -199,14 +197,13 @@ def failure_score(history: ExecutionHistory, test_id: str, recent: int = 5) -> f
     """
     if recent < 1:
         raise ConfigurationError("must be at least 1", field="recent")
-    runs = history.records(test_id)[-recent:]
+    runs = history._records.get(test_id, ())[-recent:]
     if not runs:
         return 0.5
-    newest_first = list(reversed(runs))
-    k = len(newest_first)
-    weights = [k - j for j in range(k)]
-    weighted = sum(w for w, r in zip(weights, newest_first) if not r.passed)
-    return weighted / sum(weights)
+    # Oldest first, the j-th of k runs has weight j: the newest weighs k.
+    k = len(runs)
+    weighted = sum(j for j, r in enumerate(runs, start=1) if not r.passed)
+    return weighted / (k * (k + 1) // 2)
 
 
 def order_by_history(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -146,9 +147,6 @@ class Build:
 
     def story_ids(self) -> frozenset[str]:
         return self.specs.ids()
-
-    def test_by_id(self) -> dict[str, TestCase]:
-        return {t.id: t for t in self.tests}
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,8 @@ def transition_deltas(b_prev: Build, b_next: Build) -> TransitionDeltas:
     return TransitionDeltas(
         program_changed=b_prev.program.id != b_next.program.id,
         specs_changed=b_prev.story_ids() != b_next.story_ids(),
-        tests_changed=b_prev.test_ids() != b_next.test_ids(),
+        tests_changed=b_prev.tests is not b_next.tests
+        and (len(b_prev.tests) != len(b_next.tests) or b_prev.test_ids() != b_next.test_ids()),
     )
 
 
@@ -343,8 +342,10 @@ def ordered_candidates(b_prev: Build, b_next: Build) -> tuple[TestCase, ...]:
     from ``b_next`` (the version about to run). Disjoint test sets give
     an empty tuple, which reports that condition rather than raising.
     """
-    table = b_next.test_by_id()
-    return tuple(table[i] for i in sorted(b_prev.test_ids() & table.keys()))
+    if b_prev.tests is b_next.tests:
+        return tuple(sorted(b_next.tests, key=attrgetter("id")))
+    prev_ids = b_prev.test_ids()
+    return tuple(sorted([t for t in b_next.tests if t.id in prev_ids], key=attrgetter("id")))
 
 
 def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
@@ -354,6 +355,8 @@ def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
     diverges exactly when the other map covers it.
     """
     before, after = b_prev.program.behavior, b_next.program.behavior
+    if before is after:
+        return frozenset()
     return frozenset(
         t for t in b_prev.test_ids() & b_next.test_ids() if before.get(t) != after.get(t)
     )

@@ -6,7 +6,8 @@ divergences ("faults") injected alongside so outcome comparison and
 fault-detection metrics have something to find. Everything is driven by
 one seeded Mersenne-Twister generator (``random.Random``), so a config
 reproduces byte-identical results on any platform. Runs share no
-mutable state, so scenarios may also run concurrently in threads.
+mutable state, so scenarios may also run concurrently in threads;
+consecutive configs of one ``run_many`` share one read-only bundle.
 
 Window presets name the usual cadences (commit, nightly, sprint,
 release) as fractions of the initial suite's total duration; the exact
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from itertools import groupby
+from operator import attrgetter
 from statistics import mean
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -161,25 +164,6 @@ class ScenarioConfig:
             kwargs["window_values"] = tuple(kwargs["window_values"])
         return cls(**kwargs)  # type: ignore[arg-type]
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_builds": self.n_builds,
-            "n_tests": self.n_tests,
-            "n_stories": self.n_stories,
-            "n_classes": self.n_classes,
-            "transition_mix": {k.value: v for k, v in sorted(
-                self.transition_mix.items(), key=lambda kv: kv[0].value
-            )},
-            "window_policy": self.window_policy,
-            "window_value": self.window_value,
-            "window_values": list(self.window_values) if self.window_values else None,
-            "fault_rate": self.fault_rate,
-            "strategy": self.strategy,
-            "strategy_params": dict(self.strategy_params),
-            "metric": self.metric,
-        }
-
 
 @dataclass
 class HistoryBundle:
@@ -201,6 +185,11 @@ def _sample_kind(rng: random.Random, mix: Mapping[TransitionKind, float]) -> Tra
     kinds = sorted(mix, key=lambda k: k.value)
     weights = [mix[k] for k in kinds]
     return rng.choices(kinds, weights=weights, k=1)[0]
+
+
+# The fields generate_chain reads: configs equal on all of them get equal chains.
+_CHAIN_FIELDS = attrgetter("seed", "n_builds", "n_tests", "n_stories", "n_classes",
+                           "transition_mix", "fault_rate")
 
 
 def generate_chain(cfg: ScenarioConfig) -> HistoryBundle:
@@ -409,7 +398,8 @@ def scenario_eval_context(bundle: HistoryBundle):
     """Metric-context builder backed by the bundle's fault and coverage data."""
 
     def build_ctx(b_prev: Build, b_next: Build, executed, verdicts) -> MetricContext:
-        candidate_ids = b_prev.test_ids() & b_next.test_ids()
+        same = b_prev.tests is b_next.tests
+        candidate_ids = b_next.test_ids() if same else b_prev.test_ids() & b_next.test_ids()
         shared_stories = b_prev.story_ids() & b_next.story_ids()
         coverage = {
             s: bundle.coverage.get(s, frozenset()) & candidate_ids
@@ -448,13 +438,12 @@ class RunReport:
     fault_recall: float | None
 
 
-def _run(cfg: ScenarioConfig) -> tuple[HistoryBundle, Iterator[TransitionStep]]:
-    bundle = generate_chain(cfg)
+def _run(cfg: ScenarioConfig, bundle: HistoryBundle) -> Iterator[TransitionStep]:
     metric = metric_by_name(cfg.metric)
     strategy = make_strategy(
         cfg.strategy, cfg.strategy_params, graph=bundle.graph, metric=metric, seed=cfg.seed
     )
-    return bundle, run_transitions(
+    return run_transitions(
         strategy, bundle.chain, windows_for(cfg, bundle), metric,
         eval_context=scenario_eval_context(bundle),
     )
@@ -501,16 +490,28 @@ def _report(cfg: ScenarioConfig, bundle: HistoryBundle, steps: Iterable[Transiti
 
 def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
     """Run one scenario and return its report and trace, both read from one run's steps."""
-    bundle, steps = _run(cfg)
-    kept = tuple(steps)
+    bundle = generate_chain(cfg)
+    kept = tuple(_run(cfg, bundle))
     return _report(cfg, bundle, kept), Trace.of_run(bundle.chain, kept)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run one scenario and return its report; no step is kept and no trace record made."""
-    return _report(cfg, *_run(cfg))
+    bundle = generate_chain(cfg)
+    return _report(cfg, bundle, _run(cfg, bundle))
 
 
 def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
-    """Run independent scenarios one after another, in order."""
-    return [run_scenario(cfg) for cfg in cfgs]
+    """Run scenarios one after another, in order: ``[run_scenario(c) for c in cfgs]``.
+
+    Consecutive configs that agree (by ``==``) on every field
+    :func:`generate_chain` reads run on one generated bundle, which no
+    run changes; only one bundle is alive at a time.
+    """
+    reports: list[RunReport] = []
+    for _, group in groupby(cfgs, _CHAIN_FIELDS):
+        same_chain = list(group)
+        bundle = generate_chain(same_chain[0])
+        reports += [_report(cfg, bundle, _run(cfg, bundle)) for cfg in same_chain]
+        del bundle  # freed before the next chain is generated
+    return reports

@@ -103,7 +103,9 @@ def infer_changed_classes(
     between the two programs. This stands in for commit metadata, which
     the simulated histories do not carry.
     """
-    changed_tests = (b_next.test_ids() - b_prev.test_ids()) | diverged_tests(b_prev, b_next)
+    changed_tests = diverged_tests(b_prev, b_next)
+    if b_prev.tests is not b_next.tests:
+        changed_tests |= b_next.test_ids() - b_prev.test_ids()
     return frozenset(dst for src, dst in graph.test_links if src in changed_tests)
 
 

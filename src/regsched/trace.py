@@ -62,7 +62,7 @@ class Transition:
     @classmethod
     def of(cls, b_prev: Build, b_next: Build, window: Rtw) -> "Transition":
         candidates = ordered_candidates(b_prev, b_next)
-        return cls(b_prev, b_next, window, candidates, {t.id: t.duration for t in candidates})
+        return cls(b_prev, b_next, window, candidates, {t.id: t.exectime + t.setup for t in candidates})
 
 
 class Strategy(Protocol):

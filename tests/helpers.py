@@ -209,6 +209,34 @@ def affected_oracle(graph: DepGraph, changed, candidates) -> frozenset[str]:
     )
 
 
+def feasible_prefix_oracle(ids, durations, window) -> tuple[tuple[str, ...], int]:
+    """Clipping by walking the ids: stop at the first one that overflows the budget."""
+    budget = window.budget()
+    if budget is None:
+        return tuple(ids), sum(durations[i] for i in ids)
+    running = 0
+    kept: list[str] = []
+    for test_id in ids:
+        d = durations[test_id]
+        if running + d > budget:
+            break
+        running += d
+        kept.append(test_id)
+    return tuple(kept), running
+
+
+def failure_score_oracle(history, test_id: str, recent: int = 5) -> float:
+    """Recency-weighted failure rate with the weights spelled out, newest first."""
+    runs = history.records(test_id)[-recent:]
+    if not runs:
+        return 0.5
+    newest_first = list(reversed(runs))
+    k = len(newest_first)
+    weights = [k - j for j in range(k)]
+    weighted = sum(w for w, r in zip(weights, newest_first) if not r.passed)
+    return weighted / sum(weights)
+
+
 def ttcp_exact_oracle(candidates, budget, priorities=None) -> tuple[tuple[str, ...], int]:
     """Exact ttcp by enumeration: the first feasible ordering, largest size first.
 

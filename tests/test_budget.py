@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import tc
+from helpers import feasible_prefix_oracle, tc
 from regsched import Rtw, Schedule, feasible_prefix, scope, scope_bruteforce
 from regsched.budget import durations_by_id
 from regsched.errors import ConfigurationError, InvalidCostError, OracleLimitError
@@ -170,3 +170,38 @@ class TestSchedule:
         ids, total = feasible_prefix(["a", "b", "c"], {"a": 2, "b": 3, "c": 4}, Rtw.of_budget(5))
         assert ids == ("a", "b")
         assert total == 5
+
+
+class TestFeasiblePrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 6), max_size=12),
+        budget=st.one_of(st.none(), st.integers(0, 40)),
+        as_iterator=st.booleans(),
+    )
+    @example(costs=[], budget=None, as_iterator=False)
+    @example(costs=[], budget=0, as_iterator=True)
+    @example(costs=[0, 0, 3, 0], budget=0, as_iterator=False)
+    @example(costs=[2, 3, 4], budget=5, as_iterator=True)
+    @example(costs=[2, 3, 4], budget=9, as_iterator=False)
+    @example(costs=[5, 0, 0], budget=4, as_iterator=False)
+    @example(costs=[1, 2, 3], budget=None, as_iterator=True)
+    def test_matches_the_walking_oracle(self, costs, budget, as_iterator):
+        ids = [f"t{i:02d}" for i in range(len(costs))]
+        durations = dict(zip(ids, costs))
+        window = Rtw.of_budget(budget)
+        got = feasible_prefix(iter(ids) if as_iterator else ids, durations, window)
+        assert got == feasible_prefix_oracle(ids, durations, window)
+
+    def test_a_prefix_that_fits_exactly_is_kept_whole(self):
+        durations = {"a": 2, "b": 3, "c": 0, "d": 1}
+        assert feasible_prefix("abcd", durations, Rtw.of_budget(5)) == (("a", "b", "c"), 5)
+
+    @pytest.mark.parametrize("window", [Rtw.of_budget(3), Rtw.of_budget(100), Rtw.unbounded()])
+    @pytest.mark.parametrize("position", [0, 2, 3])
+    def test_an_unpriced_id_anywhere_raises(self, window, position):
+        """Every id must be priced, after the cut too (an id past the cut used to be ignored)."""
+        ids = ["a", "b", "c"]
+        ids.insert(position, "ghost")
+        with pytest.raises(KeyError, match="ghost"):
+            feasible_prefix(ids, {"a": 2, "b": 2, "c": 2}, window)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import affected_oracle
+from helpers import affected_oracle, failure_score_oracle
 from regsched import (
     ChangeSet,
     ExecutionHistory,
@@ -163,6 +163,22 @@ class TestAffectedTests:
         assert affected_tests(updated, {"c1"}, {"t1", "t2"}) == before
 
 
+    def test_cached_inversion_stays_out_of_the_value(self):
+        g, fresh = small_graph(), small_graph()
+        shown = repr(g)
+        assert affected_tests(g, {"c2"}, g.tests) == {"t1", "t2"}
+        assert "_upstream" in vars(g)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh) == shown
+
+    def test_an_updated_graph_inverts_its_own_edges(self):
+        g = small_graph()
+        assert affected_tests(g, {"c1"}, g.tests) == {"t1"}
+        updated = update_graph(g, ChangeSet(added_test_links=frozenset({("t3", "c1")})))
+        assert affected_tests(updated, {"c1"}, updated.tests) == {"t1", "t3"}
+        assert affected_tests(g, {"c1"}, g.tests) == {"t1"}
+
+
 class TestExecutionHistory:
     def test_records_accumulate_in_order(self):
         history = ExecutionHistory()
@@ -207,6 +223,12 @@ class TestOrderByHistory:
         # newest runs score (3+2)/6.
         history = self.history_with({"a": [True, False, False]})
         assert failure_score(history, "a") == pytest.approx(5 / 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), max_size=12), st.integers(1, 8))
+    def test_score_matches_the_spelled_out_weights(self, outcomes, recent):
+        history = self.history_with({"a": outcomes})
+        assert failure_score(history, "a", recent) == failure_score_oracle(history, "a", recent)
 
     def test_single_test_fits_or_not(self):
         history = ExecutionHistory()

@@ -1,5 +1,8 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import build, chain_of, story, tc, two_builds
@@ -10,6 +13,7 @@ from regsched import (
     ProgramVersion,
     Region,
     Rtw,
+    ScenarioConfig,
     SpecSet,
     TestCase,
     Transition,
@@ -18,6 +22,8 @@ from regsched import (
     classify_region,
     classify_transition,
     diverged_tests,
+    generate_chain,
+    infer_changed_classes,
     make_release,
     ordered_candidates,
     run_tests,
@@ -164,6 +170,52 @@ class TestDivergedTests:
         expected = {v.test_id for v in run_tests(b1, b2, shared) if not v.consistent}
         assert diverged_tests(b1, b2) == expected
         assert expected == {f"t{i}" for i in left_ids & right_ids & flipped}
+
+
+def unshared(b: Build) -> Build:
+    """``b`` with its own copies of the test set and the program: equal values, new objects."""
+    return replace(
+        b, tests=frozenset(b.tests), program=ProgramVersion(b.program.id, dict(b.program.behavior))
+    )
+
+
+class TestSharedSets:
+    """Builds that share a test set or program object answer as equal copies do."""
+
+    def check_pair(self, b_prev, b_next, graph):
+        expected = None
+        for p, n in product((b_prev, unshared(b_prev)), (b_next, unshared(b_next))):
+            got = (
+                ordered_candidates(p, n),
+                classify_transition(p, n),
+                transition_deltas(p, n),
+                diverged_tests(p, n),
+                infer_changed_classes(p, n, graph),
+            )
+            expected = expected or got
+            assert got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_generated_chains(self, seed):
+        bundle = generate_chain(ScenarioConfig(seed=seed, n_builds=12, n_tests=10))
+        for b_prev, b_next in bundle.chain.pairs():
+            self.check_pair(b_prev, b_next, bundle.graph)
+
+    def test_shared_objects_are_seen(self):
+        cfg = ScenarioConfig(seed=5, n_builds=4, transition_mix={TransitionKind.PERIODIC_BUILD: 1})
+        bundle = generate_chain(cfg)
+        for b_prev, b_next in bundle.chain.pairs():
+            assert b_prev.tests is b_next.tests and b_prev.program is b_next.program
+            self.check_pair(b_prev, b_next, bundle.graph)
+            assert classify_transition(b_prev, b_next) is TransitionKind.PERIODIC_BUILD
+            assert diverged_tests(b_prev, b_next) == frozenset()
+
+    def test_equal_sizes_compare_ids(self):
+        b1 = build(1, [tc("a"), tc("b")])
+        assert transition_deltas(b1, build(2, [tc("a"), tc("c")])).tests_changed
+        assert not transition_deltas(b1, build(2, [tc("b"), tc("a")])).tests_changed
+        assert not transition_deltas(b1, replace(b1, index=2)).tests_changed
 
 
 REGION_TABLE = [

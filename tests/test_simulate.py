@@ -1,7 +1,13 @@
+import ast
+import inspect
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsched.simulate as simulate_module
 import regsched.trace as trace_module
 from helpers import stable_failure_bundle
 from regsched import (
@@ -10,6 +16,7 @@ from regsched import (
     active_faults,
     classify_transition,
     generate_chain,
+    run_many,
     run_scenario,
     run_scenario_with_trace,
     windows_for,
@@ -69,9 +76,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="transition_mix"):
             ScenarioConfig.from_dict({"seed": 3, "transition_mix": {"alien": 1.0}})
 
-    def test_round_trips_through_dict(self):
-        cfg = ScenarioConfig(seed=11, n_builds=4, window_policy="fixed", window_value=9)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    def test_from_dict_reads_every_field(self):
+        data = {
+            "seed": 11,
+            "n_builds": 4,
+            "n_tests": 9,
+            "n_stories": 3,
+            "n_classes": 5,
+            "transition_mix": {"periodic-build": 0.25, "defect-fix": 0.75},
+            "window_policy": "list",
+            "window_value": 9,
+            "window_values": [4, None, 7],
+            "fault_rate": 0.5,
+            "strategy": "random-k",
+            "strategy_params": {"k": 2},
+            "metric": "coverage",
+        }
+        assert set(data) == {f.name for f in fields(ScenarioConfig)}
+        assert ScenarioConfig.from_dict(data) == ScenarioConfig(
+            seed=11,
+            n_builds=4,
+            n_tests=9,
+            n_stories=3,
+            n_classes=5,
+            transition_mix={TransitionKind.PERIODIC_BUILD: 0.25, TransitionKind.DEFECT_FIX: 0.75},
+            window_policy="list",
+            window_value=9,
+            window_values=(4, None, 7),
+            fault_rate=0.5,
+            strategy="random-k",
+            strategy_params={"k": 2},
+            metric="coverage",
+        )
 
 
 class TestGenerator:
@@ -274,6 +310,95 @@ class TestDeterminism:
         second = run_scenario(cfg)
         assert dumps_canonical(report_to_dict(first)) == dumps_canonical(report_to_dict(second))
         assert report_to_csv(first) == report_to_csv(second)
+
+
+def counting_generator(monkeypatch):
+    """Patch ``generate_chain`` to keep each (config, bundle) it makes."""
+    made = []
+
+    def generate(cfg):
+        made.append((cfg, generate_chain(cfg)))
+        return made[-1][1]
+
+    monkeypatch.setattr(simulate_module, "generate_chain", generate)
+    return made
+
+
+A = ScenarioConfig(seed=3, n_builds=8, n_tests=15, fault_rate=0.5, strategy="retecs")
+B = replace(A, seed=4)
+PERIODIC_HEAVY = {TransitionKind.PERIODIC_BUILD: 0.6, TransitionKind.NEW_FEATURE: 0.4}
+
+
+class TestRunMany:
+    @pytest.mark.parametrize(
+        "cfgs, chains",
+        [
+            pytest.param(
+                [
+                    A,
+                    replace(A, strategy="depgraph", window_policy="sprint"),
+                    replace(A, strategy="random-k", strategy_params={"k": 4}),
+                    replace(A, strategy="retest-all", window_policy="unbounded", metric="coverage"),
+                    replace(A, window_policy="fixed", window_value=0),
+                ],
+                1,
+                id="one-chain-strategies-and-windows",
+            ),
+            pytest.param([A, B, A], 3, id="interleaved-a-b-a"),
+            pytest.param([A, replace(A, transition_mix=PERIODIC_HEAVY)], 2, id="only-mix-differs"),
+            pytest.param([A, replace(A, fault_rate=0.1)], 2, id="only-fault-rate-differs"),
+            pytest.param([A, replace(A, transition_mix=dict(A.transition_mix))], 1, id="equal-mix"),
+        ],
+    )
+    def test_equals_one_run_per_config(self, monkeypatch, cfgs, chains):
+        expected = [run_scenario(c) for c in cfgs]
+        made = counting_generator(monkeypatch)
+        assert run_many(cfgs) == expected
+        assert len(made) == chains
+        for cfg, bundle in made:  # the shared bundle is read, never changed
+            assert bundle == generate_chain(cfg)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([1, 2]),
+                st.sampled_from([0.0, 0.6]),
+                st.sampled_from(["retest-all", "random-k", "retecs", "depgraph"]),
+                st.sampled_from(["nightly", "commit", "unbounded"]),
+            ),
+            max_size=5,
+        )
+    )
+    def test_mixed_lists_equal_one_run_per_config(self, picks):
+        cfgs = [
+            ScenarioConfig(
+                seed=seed, n_builds=6, n_tests=12, fault_rate=rate, strategy=strategy,
+                strategy_params={"k": 5} if strategy == "random-k" else {}, window_policy=policy,
+            )
+            for seed, rate, strategy, policy in picks
+        ]
+        assert run_many(cfgs) == [run_scenario(c) for c in cfgs]
+
+    def test_a_failing_config_fails_the_batch_as_its_own_run_does(self):
+        bad = replace(A, strategy="no-such-strategy")
+        with pytest.raises(ConfigurationError) as alone:
+            run_scenario(bad)
+        with pytest.raises(ConfigurationError) as batched:
+            run_many([A, bad, A])
+        assert str(batched.value) == str(alone.value)
+
+    def test_chain_fields_are_the_fields_generate_chain_reads(self):
+        tree = ast.parse(inspect.getsource(generate_chain))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+        }
+        names = SimpleNamespace(**{f.name: f.name for f in fields(ScenarioConfig)})
+        assert set(simulate_module._CHAIN_FIELDS(names)) == read
 
 
 class TestStableFailureBundle:
