@@ -66,7 +66,7 @@ from .model import (
     ordered_candidates,
     transition_deltas,
 )
-from .regall import RegAllReport, Verdict, reg_all, run_tests
+from .regall import RegAllReport, Verdict, failed_ids, reg_all, run_tests
 from .retecs import (
     AgentState,
     BufferEntry,

@@ -94,7 +94,7 @@ class Schedule:
         cls, ids: Iterable[str], durations: Mapping[str, int], **meta: object
     ) -> "Schedule":
         ordered = tuple(ids)
-        return cls(ordered, sum(durations[i] for i in ordered), dict(meta))
+        return cls(ordered, sum(map(durations.__getitem__, ordered)), dict(meta))
 
 
 def feasible_prefix(

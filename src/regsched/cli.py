@@ -31,7 +31,7 @@ from .histio import (
 )
 from .metrics import metric_by_name
 from .model import ordered_candidates
-from .regall import reg_all
+from .regall import failed_ids, reg_all
 from .simulate import ScenarioConfig, generate_chain, run_scenario_with_trace, scenario_eval_context
 from .strategies import infer_changed_classes, make_strategy
 from .techniques import rtm_minimize, rtp_prioritize, rts_select
@@ -208,7 +208,7 @@ def _cmd_trace_replay(args) -> int:
                     "index": s.index,
                     "schedule": list(s.schedule.ids),
                     "total_cost": s.schedule.total_cost,
-                    "failed": sorted(v.test_id for v in s.verdicts if not v.consistent),
+                    "failed": sorted(failed_ids(s.verdicts)),
                 }
                 for s in steps
             ]

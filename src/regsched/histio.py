@@ -236,10 +236,16 @@ def _parse_bundle(data: dict) -> HistoryBundle:
 
     behavior: dict[int, dict[str, str]] = {}
     for n, row in enumerate(_expect_list(data, "behavior", "$")):
-        path = f"$.behavior[{n}]"
-        pid = _expect_int(row, "program_id", path)
-        test_id = _expect_str(row, "test_id", path)
-        outcome = _expect_str(row, "outcome", path)
+        # A well-formed row is checked inline; the validators word the error for any other.
+        pid = test_id = outcome = None
+        if type(row) is dict:
+            pid, test_id, outcome = row.get("program_id"), row.get("test_id"), row.get("outcome")
+        well_formed = type(pid) is int and type(test_id) is str and type(outcome) is str
+        if not (well_formed and test_id and outcome):
+            path = f"$.behavior[{n}]"
+            pid = _expect_int(row, "program_id", path)
+            test_id = _expect_str(row, "test_id", path)
+            outcome = _expect_str(row, "outcome", path)
         behavior.setdefault(pid, {})[test_id] = outcome
 
     programs: dict[int, ProgramVersion] = {}

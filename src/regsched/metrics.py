@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UndefinedMetricError
-from .regall import Verdict
+from .regall import Verdict, failed_ids
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class MetricContext:
     @classmethod
     def from_verdicts(cls, verdicts: Sequence[Verdict]) -> "MetricContext":
         """:meth:`from_failures` over the inconsistent tests, in verdict order."""
-        return cls.from_failures(v.test_id for v in verdicts if not v.consistent)
+        return cls.from_failures(failed_ids(verdicts))
 
 
 def first_detection_positions(

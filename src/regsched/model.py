@@ -27,6 +27,8 @@ from .errors import (
     UndefinedExecutionError,
 )
 
+_id = attrgetter("id")
+
 
 @dataclass(frozen=True)
 class TestCase:
@@ -80,8 +82,7 @@ class SpecSet:
     stories: frozenset[UserStory]
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.stories]
-        if len(ids) != len(set(ids)):
+        if len(self.ids()) != len(self.stories):
             raise ValueError("duplicate story ids in specification set")
 
     @classmethod
@@ -89,7 +90,7 @@ class SpecSet:
         return cls(frozenset(stories))
 
     def ids(self) -> frozenset[str]:
-        return frozenset(s.id for s in self.stories)
+        return frozenset(map(_id, self.stories))
 
     def __len__(self) -> int:
         return len(self.stories)
@@ -137,13 +138,13 @@ class Build:
             raise ValueError("build index must be a positive integer")
         if self.ready_at < 0:
             raise ValueError("ready_at must be non-negative")
-        ids = [t.id for t in self.tests]
-        if len(ids) != len(set(ids)):
+        if len(self.test_ids()) != len(self.tests):
+            ids = list(map(_id, self.tests))
             repeated = min(i for i in ids if ids.count(i) > 1)
             raise MalformedBuildError(f"build {self.index} has duplicate test id {repeated!r}")
 
     def test_ids(self) -> frozenset[str]:
-        return frozenset(t.id for t in self.tests)
+        return frozenset(map(_id, self.tests))
 
     def story_ids(self) -> frozenset[str]:
         return self.specs.ids()
@@ -343,9 +344,9 @@ def ordered_candidates(b_prev: Build, b_next: Build) -> tuple[TestCase, ...]:
     an empty tuple, which reports that condition rather than raising.
     """
     if b_prev.tests is b_next.tests:
-        return tuple(sorted(b_next.tests, key=attrgetter("id")))
+        return tuple(sorted(b_next.tests, key=_id))
     prev_ids = b_prev.test_ids()
-    return tuple(sorted([t for t in b_next.tests if t.id in prev_ids], key=attrgetter("id")))
+    return tuple(sorted([t for t in b_next.tests if t.id in prev_ids], key=_id))
 
 
 def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
@@ -358,7 +359,7 @@ def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
     if before is after:
         return frozenset()
     return frozenset(
-        t for t in b_prev.test_ids() & b_next.test_ids() if before.get(t) != after.get(t)
+        [t for t in b_prev.test_ids() & b_next.test_ids() if before.get(t) != after.get(t)]
     )
 
 

@@ -8,6 +8,8 @@ window is an error, not a partial answer.
 A :class:`Verdict` is a named tuple ``(test_id, outcome_prev,
 outcome_next)``, so it compares equal to a plain 3-tuple; its
 ``consistent`` flag is derived from the two outcomes, never stored.
+A test failed when its two outcomes differ (:func:`failed_ids`). Neither
+that filter nor :func:`run_tests` runs a Python frame per test.
 
 The report is deliberately not a build verdict: whether a build is
 accepted or released on top of this binary result is a separate policy
@@ -17,6 +19,8 @@ and has no field here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .budget import Rtw
@@ -36,6 +40,10 @@ class Verdict(NamedTuple):
         return self.outcome_prev == self.outcome_next
 
 
+# Makes a Verdict from a 3-tuple without the named tuple's Python ``__new__``.
+_verdict = partial(tuple.__new__, Verdict)
+
+
 def run_tests(b_prev: Build, b_next: Build, test_ids: Iterable[str]) -> tuple[Verdict, ...]:
     """Execute tests in the given order against both builds' behavior maps.
 
@@ -43,9 +51,19 @@ def run_tests(b_prev: Build, b_next: Build, test_ids: Iterable[str]) -> tuple[Ve
     behavior entry in that order raises.
     """
     ids = tuple(test_ids)
-    return tuple(
-        map(Verdict, ids, map(b_prev.program.execute, ids), map(b_next.program.execute, ids))
-    )
+    prev, nxt = b_prev.program.behavior, b_next.program.behavior
+    try:
+        return tuple(map(_verdict, zip(ids, map(prev.__getitem__, ids), map(nxt.__getitem__, ids))))
+    except KeyError as missing:
+        # Raise the execution error of the first build lacking the id.
+        test_id = missing.args[0]
+        (b_next if test_id in prev else b_prev).program.execute(test_id)
+        raise
+
+
+def failed_ids(verdicts: Iterable[Verdict]) -> list[str]:
+    """The ids of the tests whose two outcomes differ, in verdict order."""
+    return [test_id for test_id, before, after in verdicts if before != after]
 
 
 @dataclass(frozen=True)
@@ -74,8 +92,8 @@ def reg_all(b_prev: Build, b_next: Build, window: Rtw) -> RegAllReport:
             "full-overlap comparison is defined only for an unbounded window"
         )
     candidates = ordered_candidates(b_prev, b_next)
-    verdicts = run_tests(b_prev, b_next, [t.id for t in candidates])
-    first_bad = next((v.test_id for v in verdicts if not v.consistent), None)
+    verdicts = run_tests(b_prev, b_next, tuple(map(attrgetter("id"), candidates)))
+    first_bad = next(iter(failed_ids(verdicts)), None)
     return RegAllReport(
         result=1 if first_bad is None else 0,
         verdicts=verdicts,

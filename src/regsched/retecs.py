@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
@@ -86,12 +87,6 @@ class AgentState:
         return self.weights.get(test_id, INITIAL_WEIGHT)
 
 
-def _priority(test_id: str, priorities: Mapping[str, float] | None) -> float:
-    if priorities is None:
-        return 0.0
-    return priorities.get(test_id, 0.0)
-
-
 def ttcp(
     candidates: Sequence[TestCase],
     metric: QualityMetric,
@@ -115,9 +110,10 @@ def ttcp(
     repeated candidate id raises ``ConfigurationError``.
     """
     durations = durations_by_id(candidates)
+    priority = (priorities or {}).get
 
     def by_priority(t: TestCase) -> tuple[float, str]:
-        return -_priority(t.id, priorities), t.id
+        return -priority(t.id, 0.0), t.id
 
     if window.is_unbounded:
         ids = tuple(t.id for t in sorted(candidates, key=by_priority))
@@ -139,11 +135,8 @@ def ttcp(
                 ids += (t.id,)
                 total += t.duration
     elif engine == "greedy":
-        def by_value(i: str) -> tuple[bool, float, str]:
-            d = durations[i]
-            return d > 0, -(_priority(i, priorities) / d) if d else 0.0, i
-
-        ids, total = feasible_prefix(sorted(durations, key=by_value), durations, window)
+        keys = [(d > 0, -(priority(i, 0.0) / d) if d else 0.0, i) for i, d in durations.items()]
+        ids, total = feasible_prefix([i for _, _, i in sorted(keys)], durations, window)
     else:
         raise ConfigurationError(f"unknown engine {engine!r}", field="engine")
     meta: dict[str, object] = {"technique": f"ttcp-{engine}"}
@@ -206,7 +199,7 @@ def plan_schedule(
     the cycle degenerates to running everything.
     """
     window, durations = transition.window, transition.durations
-    priorities = {test_id: state.weight(test_id) for test_id in durations}
+    priorities = dict(zip(durations, map(state.weights.get, durations, repeat(INITIAL_WEIGHT))))
     base = ttcp(transition.candidates, metric, window, engine, priorities=priorities)
     if window.is_unbounded:
         return base

@@ -38,7 +38,7 @@ from .model import (
     UserStory,
     classify_transition,
 )
-from .regall import reg_all
+from .regall import failed_ids, reg_all
 from .strategies import make_strategy
 from .trace import Trace, TransitionStep, run_transitions
 
@@ -471,7 +471,7 @@ def _report(cfg: ScenarioConfig, bundle: HistoryBundle, steps: Iterable[Transiti
                 schedule=step.schedule.ids,
                 total_cost=step.schedule.total_cost,
                 q_value=step.q_value,
-                failed=tuple(sorted(v.test_id for v in verdicts if not v.consistent)),
+                failed=tuple(sorted(failed_ids(verdicts))),
                 undetected_faults=undetected,
                 regall_match=match,
             )

@@ -15,6 +15,7 @@ the same strategy twice over the same chain yields identical traces.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Mapping
 
 from .budget import Schedule, feasible_prefix
@@ -22,6 +23,7 @@ from .depgraph import DepGraph, ExecutionHistory, affected_tests, order_by_histo
 from .errors import ConfigurationError, require_int
 from .metrics import QualityMetric
 from .model import Build, diverged_tests
+from .regall import failed_ids
 from .retecs import AgentState, agent_update, plan_schedule
 from .trace import Transition, TransitionStep
 
@@ -86,11 +88,9 @@ class RetecsStrategy:
         return plan_schedule(transition, self.state, self.metric, self.engine)
 
     def observe(self, step: TransitionStep) -> None:
-        self.state = agent_update(
-            self.state,
-            step.schedule,
-            {v.test_id: v.consistent for v in step.verdicts},
-        )
+        passed = dict.fromkeys(map(itemgetter(0), step.verdicts), True)
+        passed.update(dict.fromkeys(failed_ids(step.verdicts), False))
+        self.state = agent_update(self.state, step.schedule, passed)
 
 
 def infer_changed_classes(
@@ -106,7 +106,7 @@ def infer_changed_classes(
     changed_tests = diverged_tests(b_prev, b_next)
     if b_prev.tests is not b_next.tests:
         changed_tests |= b_next.test_ids() - b_prev.test_ids()
-    return frozenset(dst for src, dst in graph.test_links if src in changed_tests)
+    return frozenset([dst for src, dst in graph.test_links if src in changed_tests])
 
 
 class DepGraphStrategy:

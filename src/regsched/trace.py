@@ -160,7 +160,7 @@ def _contract_breach(
     outside = set(ids) - durations.keys()
     if outside:
         return "schedule", f"schedule leaves the candidate set: {sorted(outside)}"
-    cost = sum(durations[i] for i in ids)
+    cost = sum(map(durations.__getitem__, ids))
     if budget is not None and cost > budget:
         return "delta_tau", f"schedule cost {cost} exceeds window budget {budget}"
     return None

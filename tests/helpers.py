@@ -254,6 +254,30 @@ def ttcp_exact_oracle(candidates, budget, priorities=None) -> tuple[tuple[str, .
     raise AssertionError("unreachable: the empty ordering always fits")
 
 
+def ttcp_greedy_oracle(candidates, window, priorities=None) -> tuple[tuple[str, ...], int]:
+    """Greedy ttcp with a ranking call per id, clipped by walking the ranked ids.
+
+    Unbounded: every id by descending priority, ties by id. Bounded:
+    zero-cost tests first by id, then by descending priority per unit
+    cost, ties by id. An unpriced id, or any id when ``priorities`` is
+    None, has priority 0.0.
+    """
+
+    def priority(test_id):
+        return 0.0 if priorities is None else priorities.get(test_id, 0.0)
+
+    durations = {t.id: t.duration for t in candidates}
+    if window.is_unbounded:
+        ids = tuple(t.id for t in sorted(candidates, key=lambda t: (-priority(t.id), t.id)))
+        return ids, sum(durations[i] for i in ids)
+
+    def by_value(test_id):
+        d = durations[test_id]
+        return d > 0, -(priority(test_id) / d) if d else 0.0, test_id
+
+    return feasible_prefix_oracle(sorted(durations, key=by_value), durations, window)
+
+
 def rtp_greedy_oracle(candidates, metric, ctx) -> tuple[str, ...]:
     """Greedy prioritization by scoring every candidate prefix.
 

@@ -60,6 +60,10 @@ def minimal_history():
     }
 
 
+# Marks a field to delete in place of a value to set.
+REMOVE = object()
+
+
 class TestHistoryParsing:
     def test_minimal_file_builds_a_one_build_chain(self):
         bundle, history = parse_history(minimal_history())
@@ -110,6 +114,42 @@ class TestHistoryParsing:
         with pytest.raises(HistoryFormatError, match="line 2"):
             ingest_history(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("program_id", REMOVE, "$.behavior[1]: missing field 'program_id'"),
+            ("program_id", "1", "$.behavior[1].program_id: expected an integer, got '1'"),
+            ("program_id", "", "$.behavior[1].program_id: expected an integer, got ''"),
+            ("program_id", True, "$.behavior[1].program_id: expected an integer, got True"),
+            ("program_id", 1.0, "$.behavior[1].program_id: expected an integer, got 1.0"),
+            ("test_id", REMOVE, "$.behavior[1]: missing field 'test_id'"),
+            ("test_id", 1, "$.behavior[1].test_id: expected a non-empty string, got 1"),
+            ("test_id", None, "$.behavior[1].test_id: expected a non-empty string, got None"),
+            ("test_id", "", "$.behavior[1].test_id: expected a non-empty string, got ''"),
+            ("outcome", REMOVE, "$.behavior[1]: missing field 'outcome'"),
+            ("outcome", 1, "$.behavior[1].outcome: expected a non-empty string, got 1"),
+            ("outcome", "", "$.behavior[1].outcome: expected a non-empty string, got ''"),
+            (None, [1, 2], "$.behavior[1]: missing field 'program_id'"),
+            (None, "row", "$.behavior[1]: missing field 'program_id'"),
+            (None, None, "$.behavior[1]: missing field 'program_id'"),
+            (None, 7, "$.behavior[1]: missing field 'program_id'"),
+        ],
+    )
+    def test_a_bad_behavior_row_is_named_by_its_path(self, field, value, message):
+        data = minimal_history()
+        data["behavior"] = [
+            {"program_id": 1, "test_id": t, "outcome": "ok"} for t in ("t0", "t1", "t2")
+        ]
+        if field is None:
+            data["behavior"][1] = value
+        elif value is REMOVE:
+            del data["behavior"][1][field]
+        else:
+            data["behavior"][1][field] = value
+        with pytest.raises(HistoryFormatError) as exc:
+            parse_history(data)
+        assert str(exc.value) == message
+
 
 # A small history in which every build repeats most story and test rows.
 HISTORY = serialize_history(
@@ -142,9 +182,6 @@ def _field_is_valid(field, value):
     if field in ("exectime", "setup"):
         return type(value) is int and value >= 0
     return type(value) in (int, float) and value >= 0
-
-
-REMOVE = object()
 
 
 class TestRowSharing:

@@ -1,11 +1,12 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import DIVERGED, build, run_tests_oracle, tc, two_builds
-from regsched import RegAllReport, Rtw, Verdict, reg_all, run_tests
+from helpers import DIVERGED, build, run_tests_oracle, story, tc, two_builds
+from regsched import RegAllReport, Rtw, Schedule, SpecSet, Verdict, failed_ids, reg_all, run_tests
 from regsched.errors import BoundedWindowError, UndefinedExecutionError
 
 UNBOUNDED = Rtw.unbounded()
@@ -141,6 +142,8 @@ class TestRunTests:
         for given_ids in (ids, tuple(ids), (i for i in ids)):
             verdicts = run_tests(b1, b2, given_ids)
             assert [(*v, v.consistent) for v in verdicts] == expected
+            assert all(type(v) is Verdict for v in verdicts)
+            assert failed_ids(verdicts) == [row[0] for row in expected if not row[3]]
 
     @given(
         st.lists(st.sampled_from(POOL), unique=True),
@@ -189,3 +192,43 @@ class TestVerdict:
         with pytest.raises(AttributeError):
             setattr(verdict, name, "other")
         assert verdict == ("a", "ok", "bad") and not verdict.consistent
+
+
+def python_calls(run) -> int:
+    """The Python frames ``run()`` enters: calls and generator resumptions."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def scenario_calls(n: int) -> dict[str, int]:
+    """Python frames per scenario-path call on ``n`` shared tests, every third diverging."""
+    tests = [tc(f"t{i:03d}") for i in range(n)]
+    b1, b2 = two_builds(tests, diverge=[t.id for t in tests[::3]])
+    ids = [t.id for t in tests]
+    verdicts = run_tests(b1, b2, ids)
+    specs = SpecSet(frozenset(story(f"s{i:03d}") for i in range(n)))
+    durations = {t.id: t.duration for t in tests}
+    runs = {
+        "run_tests": lambda: run_tests(b1, b2, ids),
+        "reg_all": lambda: reg_all(b1, b2, UNBOUNDED),
+        "Build.test_ids": b2.test_ids,
+        "SpecSet.ids": specs.ids,
+        "Schedule.from_ids": lambda: Schedule.from_ids(ids, durations),
+        "failed_ids": lambda: failed_ids(verdicts),
+    }
+    return {name: python_calls(run) for name, run in runs.items()}
+
+
+def test_no_python_frame_per_test():
+    assert scenario_calls(10) == scenario_calls(100)

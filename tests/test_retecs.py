@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build, tc, ttcp_exact_oracle, two_builds
+from helpers import build, tc, ttcp_exact_oracle, ttcp_greedy_oracle, two_builds
 from regsched import (
     AgentState,
     BufferEntry,
@@ -137,6 +137,31 @@ class TestTtcp:
         starved = ttcp(tests, METRIC, Rtw.of_budget(0), engine="greedy", priorities=priorities)
         assert starved.ids == ("a", "b")
         assert "budget_starved" not in starved.meta
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([None, 0.0, 0.5, 1.0, 2.0]), st.integers(0, 3), st.integers(0, 2)
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.integers(0, 3).flatmap(
+            lambda start: st.builds(Rtw, st.just(start), st.none() | st.integers(start, start + 20))
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_matches_the_per_id_ranking_oracle(self, rows, priced, window):
+        # Few priorities and costs force equal ratios and zero durations; a
+        # None priority leaves the id unpriced.
+        tests = [tc(f"t{i:02d}", exectime=e, setup=s) for i, (_, e, s) in enumerate(rows)]
+        priorities = None
+        if priced:
+            priorities = {t.id: p for t, (p, _, _) in zip(tests, rows) if p is not None}
+        sched = ttcp(tests, METRIC, window, engine="greedy", priorities=priorities)
+        assert (sched.ids, sched.total_cost) == ttcp_greedy_oracle(tests, window, priorities)
+        starved = not window.is_unbounded and not sched.ids and bool(tests)
+        assert sched.meta.get("budget_starved", False) == starved
 
     @given(
         st.lists(st.integers(1, 9), min_size=1, max_size=6),
