@@ -112,6 +112,7 @@ from .trace import (
     check_completeness,
     record_trace,
     replay_trace,
+    run_side_by_side,
     run_transitions,
 )
 

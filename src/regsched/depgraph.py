@@ -182,6 +182,15 @@ class ExecutionHistory:
             )
         runs.append(ExecutionRecord(build_index, passed))
 
+    def add_build(self, build_index: int, verdicts: Iterable[tuple[str, str, str]]) -> None:
+        """:meth:`add` per ``(test_id, outcome_prev, outcome_next)``, passed if the two agree."""
+        passed, failed = ExecutionRecord(build_index, True), ExecutionRecord(build_index, False)
+        for test_id, before, after in verdicts:
+            runs = self._records.setdefault(test_id, [])
+            if runs and build_index < runs[-1].build_index:
+                self.add(test_id, build_index, before == after)  # raises add's error
+            runs.append(passed if before == after else failed)
+
     def records(self, test_id: str) -> tuple[ExecutionRecord, ...]:
         return tuple(self._records.get(test_id, ()))
 

@@ -219,8 +219,7 @@ def derive_execution_history(chain: BuildChain) -> ExecutionHistory:
     history = ExecutionHistory()
     for b_prev, b_next in chain.pairs():
         ids = [t.id for t in ordered_candidates(b_prev, b_next)]
-        for v in run_tests(b_prev, b_next, ids):
-            history.add(v.test_id, b_next.index, v.consistent)
+        history.add_build(b_next.index, run_tests(b_prev, b_next, ids))
     return history
 
 

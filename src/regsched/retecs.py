@@ -95,6 +95,7 @@ def ttcp(
     *,
     priorities: Mapping[str, float] | None = None,
     ctx: MetricContext = MetricContext(),
+    durations: Mapping[str, int] | None = None,
 ) -> Schedule:
     """Produce a budget-feasible ordering of the candidate set.
 
@@ -106,10 +107,12 @@ def ttcp(
     per unit cost, zero-cost tests first (they always fit), and keeps the
     longest feasible prefix. No result depends on ``metric`` or ``ctx``. An
     unbounded window gives the full priority ordering; a window too small
-    for any test gives an empty schedule flagged ``budget_starved``. A
-    repeated candidate id raises ``ConfigurationError``.
+    for any test gives an empty schedule flagged ``budget_starved``. Both
+    engines price by ``durations`` (by default ``durations_by_id``, which
+    rejects a repeated candidate id with ``ConfigurationError``).
     """
-    durations = durations_by_id(candidates)
+    if durations is None:
+        durations = durations_by_id(candidates)
     priority = (priorities or {}).get
 
     def by_priority(t: TestCase) -> tuple[float, str]:
@@ -124,16 +127,16 @@ def ttcp(
 
     if engine == "exact":
         k = len(feasible_prefix(sorted(durations, key=durations.__getitem__), durations, window)[0])
-        base = sorted(candidates, key=by_priority)
+        base = [t.id for t in sorted(candidates, key=by_priority)]
         ids: tuple[str, ...] = ()
         total = 0
-        for position, t in enumerate(base):
+        for position, test_id in enumerate(base):
             if len(ids) == k:
                 break
-            rest = sorted(u.duration for u in base[position + 1 :])[: k - 1 - len(ids)]
-            if total + t.duration + sum(rest) <= budget:
-                ids += (t.id,)
-                total += t.duration
+            rest = sorted(map(durations.__getitem__, base[position + 1 :]))[: k - 1 - len(ids)]
+            if total + durations[test_id] + sum(rest) <= budget:
+                ids += (test_id,)
+                total += durations[test_id]
     elif engine == "greedy":
         keys = [(d > 0, -(priority(i, 0.0) / d) if d else 0.0, i) for i, d in durations.items()]
         ids, total = feasible_prefix([i for _, _, i in sorted(keys)], durations, window)
@@ -193,14 +196,16 @@ def plan_schedule(
     The ttcp ordering (driven by learned weights) forms the head of the
     schedule; whatever budget remains is filled with tests from the atcs
     pick that are not already scheduled, in the pick's order. Priorities,
-    the atcs pick and the fill all price tests by ``transition.durations``.
+    ttcp, the atcs pick and the fill all read ``transition.durations``.
     With no atcs pick the ttcp schedule is returned unchanged. Under an
     unbounded window the plan is simply the full candidate ordering, so
     the cycle degenerates to running everything.
     """
     window, durations = transition.window, transition.durations
     priorities = dict(zip(durations, map(state.weights.get, durations, repeat(INITIAL_WEIGHT))))
-    base = ttcp(transition.candidates, metric, window, engine, priorities=priorities)
+    base = ttcp(
+        transition.candidates, metric, window, engine, priorities=priorities, durations=durations
+    )
     if window.is_unbounded:
         return base
     pick = atcs(state.buffer, metric, window, durations=durations)

@@ -7,7 +7,8 @@ fault-detection metrics have something to find. Everything is driven by
 one seeded Mersenne-Twister generator (``random.Random``), so a config
 reproduces byte-identical results on any platform. Runs share no
 mutable state, so scenarios may also run concurrently in threads;
-consecutive configs of one ``run_many`` share one read-only bundle.
+consecutive configs of one ``run_many`` share one read-only bundle and
+run side by side over one pass of its pairs (see :func:`run_many`).
 
 Window presets name the usual cadences (commit, nightly, sprint,
 release) as fractions of the initial suite's total duration; the exact
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby
 from operator import attrgetter
 from statistics import mean
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .budget import Rtw
 from .depgraph import DepGraph, build_graph
@@ -40,7 +41,7 @@ from .model import (
 )
 from .regall import failed_ids, reg_all
 from .strategies import make_strategy
-from .trace import Trace, TransitionStep, run_transitions
+from .trace import Trace, TransitionStep, run_side_by_side
 
 WINDOW_POLICIES = ("fixed", "list", "unbounded", "commit", "nightly", "sprint", "release")
 
@@ -395,17 +396,20 @@ def active_faults(bundle: HistoryBundle, build_index: int) -> dict[str, frozense
 
 
 def scenario_eval_context(bundle: HistoryBundle):
-    """Metric-context builder backed by the bundle's fault and coverage data."""
+    """Metric-context builder backed by the bundle's fault and coverage data, once per pair."""
+    last: list = [None, None, None]
 
     def build_ctx(b_prev: Build, b_next: Build, executed, verdicts) -> MetricContext:
-        same = b_prev.tests is b_next.tests
-        candidate_ids = b_next.test_ids() if same else b_prev.test_ids() & b_next.test_ids()
-        shared_stories = b_prev.story_ids() & b_next.story_ids()
-        coverage = {
-            s: bundle.coverage.get(s, frozenset()) & candidate_ids
-            for s in sorted(shared_stories)
-        }
-        return MetricContext(faults=active_faults(bundle, b_next.index), coverage=coverage)
+        if last[0] is not b_prev or last[1] is not b_next:
+            same = b_prev.tests is b_next.tests
+            candidate_ids = b_next.test_ids() if same else b_prev.test_ids() & b_next.test_ids()
+            shared_stories = b_prev.story_ids() & b_next.story_ids()
+            coverage = {
+                s: bundle.coverage.get(s, frozenset()) & candidate_ids
+                for s in sorted(shared_stories)
+            }
+            last[:] = b_prev, b_next, MetricContext(active_faults(bundle, b_next.index), coverage)
+        return last[2]
 
     return build_ctx
 
@@ -438,45 +442,32 @@ class RunReport:
     fault_recall: float | None
 
 
-def _run(cfg: ScenarioConfig, bundle: HistoryBundle) -> Iterator[TransitionStep]:
-    metric = metric_by_name(cfg.metric)
-    strategy = make_strategy(
-        cfg.strategy, cfg.strategy_params, graph=bundle.graph, metric=metric, seed=cfg.seed
-    )
-    return run_transitions(
-        strategy, bundle.chain, windows_for(cfg, bundle), metric,
-        eval_context=scenario_eval_context(bundle),
+def _row(step: TransitionStep, kind: str, births: Mapping[str, frozenset[str]]) -> TransitionRow:
+    """One step's report row; ``kind`` and ``births`` are its pair's, shared by every run."""
+    transition, verdicts = step.transition, step.verdicts
+    b_prev, b_next, window = transition.b_prev, transition.b_next, transition.window
+    executed = set(step.schedule.ids)
+    match = None
+    if window.is_unbounded:
+        match = tuple(sorted(verdicts)) == reg_all(b_prev, b_next, window).verdicts
+    return TransitionRow(
+        build_index=b_next.index,
+        transition=kind,
+        candidate_count=len(transition.candidates),
+        schedule=step.schedule.ids,
+        total_cost=step.schedule.total_cost,
+        q_value=step.q_value,
+        failed=tuple(sorted(failed_ids(verdicts))),
+        undetected_faults=tuple(sorted(f for f, tests in births.items() if not tests & executed)),
+        regall_match=match,
     )
 
 
-def _report(cfg: ScenarioConfig, bundle: HistoryBundle, steps: Iterable[TransitionStep]):
-    """The run's report, one row per step as the steps arrive."""
-    rows: list[TransitionRow] = []
-    detected = 0
-    for step in steps:
-        transition, verdicts = step.transition, step.verdicts
-        b_prev, b_next = transition.b_prev, transition.b_next
-        births = active_faults(bundle, b_next.index)
-        executed = set(step.schedule.ids)
-        undetected = tuple(sorted(f for f, tests in births.items() if not tests & executed))
-        detected += len(births) - len(undetected)
-        match = None
-        if transition.window.is_unbounded:
-            match = tuple(sorted(verdicts)) == reg_all(b_prev, b_next, transition.window).verdicts
-        rows.append(
-            TransitionRow(
-                build_index=b_next.index,
-                transition=classify_transition(b_prev, b_next).value,
-                candidate_count=len(transition.candidates),
-                schedule=step.schedule.ids,
-                total_cost=step.schedule.total_cost,
-                q_value=step.q_value,
-                failed=tuple(sorted(failed_ids(verdicts))),
-                undetected_faults=undetected,
-                regall_match=match,
-            )
-        )
+def _summary(cfg: ScenarioConfig, bundle: HistoryBundle, rows: list[TransitionRow]) -> RunReport:
     defined_q = [r.q_value for r in rows if r.q_value is not None]
+    indices = {r.build_index for r in rows}
+    born = sum(born_at in indices for born_at in bundle.fault_births.values())
+    detected = born - sum(len(r.undetected_faults) for r in rows)
     return RunReport(
         seed=cfg.seed,
         strategy=cfg.strategy,
@@ -488,30 +479,53 @@ def _report(cfg: ScenarioConfig, bundle: HistoryBundle, steps: Iterable[Transiti
     )
 
 
+def _run_group(cfgs: Sequence[ScenarioConfig], bundle: HistoryBundle, kept: list | None = None):
+    """The configs' reports, a row per step as it arrives; ``kept`` gets the first config's steps."""
+    runs = []
+    for cfg in cfgs:
+        metric = metric_by_name(cfg.metric)
+        strategy = make_strategy(
+            cfg.strategy, cfg.strategy_params, graph=bundle.graph, metric=metric, seed=cfg.seed
+        )
+        runs.append((strategy, windows_for(cfg, bundle), metric))
+    rows: list[list[TransitionRow]] = [[] for _ in cfgs]
+    for steps in run_side_by_side(bundle.chain, runs, eval_context=scenario_eval_context(bundle)):
+        b_prev, b_next = steps[0].transition.b_prev, steps[0].transition.b_next
+        kind, births = classify_transition(b_prev, b_next).value, active_faults(bundle, b_next.index)
+        for run_rows, step in zip(rows, steps):
+            run_rows.append(_row(step, kind, births))
+        if kept is not None:
+            kept.append(steps[0])
+    return [_summary(cfg, bundle, run_rows) for cfg, run_rows in zip(cfgs, rows)]
+
+
 def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
     """Run one scenario and return its report and trace, both read from one run's steps."""
     bundle = generate_chain(cfg)
-    kept = tuple(_run(cfg, bundle))
-    return _report(cfg, bundle, kept), Trace.of_run(bundle.chain, kept)
+    kept: list[TransitionStep] = []
+    (report,) = _run_group([cfg], bundle, kept)
+    return report, Trace.of_run(bundle.chain, kept)
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run one scenario and return its report; no step is kept and no trace record made."""
-    bundle = generate_chain(cfg)
-    return _report(cfg, bundle, _run(cfg, bundle))
+    return _run_group([cfg], generate_chain(cfg))[0]
 
 
 def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
-    """Run scenarios one after another, in order: ``[run_scenario(c) for c in cfgs]``.
+    """Run scenarios and return ``[run_scenario(c) for c in cfgs]``.
 
     Consecutive configs that agree (by ``==``) on every field
-    :func:`generate_chain` reads run on one generated bundle, which no
-    run changes; only one bundle is alive at a time.
+    :func:`generate_chain` reads run on one generated bundle, which no run
+    changes; only one bundle is alive at a time. Their strategies are all
+    built, then run side by side over one pass of the pairs, each pair
+    derived once for all. So of several failing configs, the error raised
+    is the first in (pair, config) order, one that cannot be built first.
     """
     reports: list[RunReport] = []
     for _, group in groupby(cfgs, _CHAIN_FIELDS):
         same_chain = list(group)
         bundle = generate_chain(same_chain[0])
-        reports += [_report(cfg, bundle, _run(cfg, bundle)) for cfg in same_chain]
+        reports += _run_group(same_chain, bundle)
         del bundle  # freed before the next chain is generated
     return reports

@@ -135,9 +135,7 @@ class DepGraphStrategy:
         return Schedule(schedule.ids, schedule.total_cost, {"technique": self.name})
 
     def observe(self, step: TransitionStep) -> None:
-        build_index = step.transition.b_next.index
-        for v in step.verdicts:
-            self.history.add(v.test_id, build_index, v.consistent)
+        self.history.add_build(step.transition.b_next.index, step.verdicts)
 
 
 # The parameters each built-in strategy takes; any other key is an error.

@@ -2,21 +2,23 @@
 
 A :class:`Transition` is one build pair with its window and its priced
 candidates (the tests both builds hold, in id order). It is derived once
-per pair, and a strategy is a ``plan(transition) -> Schedule`` that emits
-a budget-feasible schedule plus an ``observe(step)`` that learns from the
-:class:`TransitionStep` the schedule produced. Any such strategy can be
-captured losslessly as one record per build: the program id, story ids,
-test ids, the window budget, the realized quality value, and the exact
-executed ordering. :func:`run_transitions` is the one place a strategy
-runs; each step holds the transition, the priced schedule, the verdicts
-and the quality value, and :meth:`Trace.of_run` alone turns steps into
-records. Replaying them against the same chain reproduces the original
-schedules and verdicts bit for bit, and enforces the same per-build
-contract as recording: a schedule outside its candidates or over its
-``delta_tau`` is rejected. :func:`check_completeness` tests that claim on
-one run: it replays the run's own records and compares each build's
-schedule, verdicts, budget and quality value with what ran. The trace
-file format lives in :mod:`regsched.histio`; this module knows no JSON.
+per pair, and a strategy is a ``plan(transition) -> Schedule`` that
+emits a budget-feasible schedule plus an ``observe(step)`` that learns
+from the :class:`TransitionStep` the schedule produced. Any such
+strategy can be captured losslessly as one record per build: the program
+id, story ids, test ids, the window budget, the realized quality value,
+and the exact executed ordering. :func:`run_side_by_side` is the one
+step loop, for one or many strategies over one pass of the pairs, and
+:func:`run_transitions` its one-strategy case; each step holds the
+transition, the priced schedule, the verdicts and the quality value, and
+:meth:`Trace.of_run` alone turns steps into records. Replaying them
+against the same chain reproduces the original schedules and verdicts
+bit for bit, and enforces the same per-build contract as recording: a
+schedule outside its candidates or over its ``delta_tau`` is rejected.
+:func:`check_completeness` tests that claim on one run: it replays the
+run's own records and compares each build's schedule, verdicts, budget
+and quality value with what ran. The trace file format lives in
+:mod:`regsched.histio`; this module knows no JSON.
 
 Build 1 has no predecessor, so its record carries an empty schedule, a
 zero budget, and no quality value. Records with an unbounded budget are
@@ -180,6 +182,50 @@ class TransitionStep:
     q_value: float | None
 
 
+def run_side_by_side(
+    chain: BuildChain,
+    runs: Sequence[tuple[Strategy, Sequence[Rtw], QualityMetric]],
+    *,
+    eval_context: EvalContext | None = None,
+) -> Iterator[tuple[TransitionStep, ...]]:
+    """Run each ``(strategy, windows, metric)`` over one pass of the pairs: a step tuple per pair.
+
+    ``windows`` supplies one window per pair. Build indices must be
+    consecutive (:class:`BuildOrderError` otherwise). A strategy that
+    emits a schedule exceeding its window, or tests outside the candidate
+    set, is rejected immediately with the offending build named. Errors
+    come in (pair, run) order. A pair's candidates and prices are derived
+    once, and kept for later pairs holding the same two test-set objects.
+    """
+    n_pairs = max(len(chain) - 1, 0)
+    for _, windows, _ in runs:
+        if len(windows) != n_pairs:
+            raise ValueError(f"need one window per consecutive pair: {n_pairs}, got {len(windows)}")
+    build_context = eval_context or _default_eval_context
+    last: Transition | None = None
+    for (b_prev, b_next), windows in zip(chain.pairs(), zip(*(w for _, w, _ in runs))):
+        if b_next.index != b_prev.index + 1:
+            raise BuildOrderError(
+                f"transitions need consecutive builds, got {b_prev.index} -> {b_next.index}"
+            )
+        if not (last and last.b_prev.tests is b_prev.tests and last.b_next.tests is b_next.tests):
+            last = Transition.of(b_prev, b_next, windows[0])
+        steps = []
+        for (strategy, _, metric), window in zip(runs, windows):
+            transition = Transition(b_prev, b_next, window, last.candidates, last.durations)
+            schedule = strategy.plan(transition)
+            breach = _contract_breach(schedule.ids, transition.durations, window.budget())
+            if breach:
+                raise InfeasibleScheduleError(b_next.index, breach[1])
+            verdicts = run_tests(b_prev, b_next, schedule.ids)
+            q = _quality(metric, schedule.ids, build_context(b_prev, b_next, schedule.ids, verdicts))
+            priced = Schedule.from_ids(schedule.ids, transition.durations, **schedule.meta)
+            step = TransitionStep(transition, priced, verdicts, q)
+            strategy.observe(step)
+            steps.append(step)
+        yield tuple(steps)
+
+
 def run_transitions(
     strategy: Strategy,
     chain: BuildChain,
@@ -188,33 +234,8 @@ def run_transitions(
     *,
     eval_context: EvalContext | None = None,
 ) -> Iterator[TransitionStep]:
-    """Run a strategy over the chain, yielding one step per consecutive build pair.
-
-    ``windows`` supplies one window per pair. Build indices must be
-    consecutive (:class:`BuildOrderError` otherwise). A strategy that
-    emits a schedule exceeding its window, or tests outside the candidate
-    set, is rejected immediately with the offending build named.
-    """
-    if len(windows) != max(len(chain) - 1, 0):
-        raise ValueError(
-            f"need one window per consecutive pair: {max(len(chain) - 1, 0)}, got {len(windows)}"
-        )
-    build_context = eval_context or _default_eval_context
-    for (b_prev, b_next), window in zip(chain.pairs(), windows):
-        if b_next.index != b_prev.index + 1:
-            raise BuildOrderError(
-                f"transitions need consecutive builds, got {b_prev.index} -> {b_next.index}"
-            )
-        transition = Transition.of(b_prev, b_next, window)
-        schedule = strategy.plan(transition)
-        breach = _contract_breach(schedule.ids, transition.durations, window.budget())
-        if breach:
-            raise InfeasibleScheduleError(b_next.index, breach[1])
-        verdicts = run_tests(b_prev, b_next, schedule.ids)
-        q = _quality(metric, schedule.ids, build_context(b_prev, b_next, schedule.ids, verdicts))
-        priced = Schedule.from_ids(schedule.ids, transition.durations, **schedule.meta)
-        step = TransitionStep(transition, priced, verdicts, q)
-        strategy.observe(step)
+    """Run a strategy over the chain, one step per pair: :func:`run_side_by_side` with one run."""
+    for (step,) in run_side_by_side(chain, ((strategy, windows, metric),), eval_context=eval_context):
         yield step
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -19,6 +20,7 @@ from regsched import (
     HistoryBundle,
     Iteration,
     ProgramVersion,
+    RetestAllStrategy,
     SpecSet,
     TestCase,
     UserStory,
@@ -74,6 +76,49 @@ def two_builds(shared, prev_only=(), next_only=(), diverge=(), stories=(), next_
         behavior_overrides={t: DIVERGED for t in diverge},
     )
     return b1, b2
+
+
+class FailingAt(RetestAllStrategy):
+    """Retest-all that raises ``RuntimeError(label)`` when planning into one build."""
+
+    def __init__(self, label, build_index):
+        self.label, self.build_index = label, build_index
+
+    def plan(self, transition):
+        if transition.b_next.index == self.build_index:
+            raise RuntimeError(self.label)
+        return super().plan(transition)
+
+
+def counted(monkeypatch, module, name):
+    """Patch ``module.name`` to log each call's arguments; return the log."""
+    calls = []
+    real = getattr(module, name)
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+def unshared(b: Build) -> Build:
+    """``b`` with its own copies of the test set and the program: equal values, new objects.
+
+    ``frozenset(s)`` of a frozenset returns ``s`` itself, so the set is copied from a list.
+    """
+    return replace(
+        b,
+        tests=frozenset(list(b.tests)),
+        program=ProgramVersion(b.program.id, dict(b.program.behavior)),
+    )
+
+
+def unshared_bundle(bundle: HistoryBundle) -> HistoryBundle:
+    """``bundle`` with every build :func:`unshared`: no two builds share a set or program."""
+    builds = tuple(map(unshared, bundle.chain.builds))
+    return replace(bundle, chain=replace(bundle.chain, builds=builds))
 
 
 def chain_of(*builds_seq) -> BuildChain:

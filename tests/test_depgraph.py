@@ -198,6 +198,34 @@ class TestExecutionHistory:
     def test_unknown_test_has_no_records(self):
         assert ExecutionHistory().records("zz") == ()
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 4),
+                st.lists(st.tuples(*[st.sampled_from(v) for v in ("abc", "xy", "xy")]), max_size=4),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_bulk_build_equals_one_add_per_verdict(self, builds):
+        # Unsorted build indices make some builds fail part-way through.
+        bulk, single = ExecutionHistory(), ExecutionHistory()
+        for build_index, verdicts in builds:
+            errors = []
+            for log in (
+                lambda: bulk.add_build(build_index, verdicts),
+                lambda: [single.add(t, build_index, a == b) for t, a, b in verdicts],
+            ):
+                try:
+                    log()
+                    errors.append(None)
+                except ValueError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1]
+        for test_id in "abc":
+            assert bulk.records(test_id) == single.records(test_id)
+
 
 class TestOrderByHistory:
     def history_with(self, rates):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build, chain_of, story, tc, two_builds
+from helpers import build, chain_of, story, tc, two_builds, unshared
 from regsched import (
     Build,
     BuildChain,
@@ -172,13 +172,6 @@ class TestDivergedTests:
         assert expected == {f"t{i}" for i in left_ids & right_ids & flipped}
 
 
-def unshared(b: Build) -> Build:
-    """``b`` with its own copies of the test set and the program: equal values, new objects."""
-    return replace(
-        b, tests=frozenset(b.tests), program=ProgramVersion(b.program.id, dict(b.program.behavior))
-    )
-
-
 class TestSharedSets:
     """Builds that share a test set or program object answer as equal copies do."""
 
@@ -207,6 +200,8 @@ class TestSharedSets:
         bundle = generate_chain(cfg)
         for b_prev, b_next in bundle.chain.pairs():
             assert b_prev.tests is b_next.tests and b_prev.program is b_next.program
+            copy = unshared(b_prev)
+            assert copy.tests is not b_prev.tests and copy.program is not b_prev.program
             self.check_pair(b_prev, b_next, bundle.graph)
             assert classify_transition(b_prev, b_next) is TransitionKind.PERIODIC_BUILD
             assert diverged_tests(b_prev, b_next) == frozenset()

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import sys
 
 import pytest
@@ -203,11 +204,17 @@ def python_calls(run) -> int:
         if event == "call":
             calls += 1
 
+    # A collection during run() would call the gc callback hypothesis
+    # installs: a Python frame that run() itself never enters.
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 

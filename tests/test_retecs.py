@@ -182,6 +182,25 @@ class TestTtcp:
         if sum(durations) <= budget:
             assert len(sched.ids) == len(durations)
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 2), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+            max_size=7,
+        ),
+        st.sampled_from(["greedy", "exact"]),
+        st.sampled_from([None, 0, 1, 5, 12, 40]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_passed_price_map_gives_the_same_schedule(self, rows, engine, budget):
+        tests = [tc(f"t{i:02d}", exectime=e, setup=s) for i, (e, s, _) in enumerate(rows)]
+        priorities = {t.id: p for t, (_, _, p) in zip(tests, rows)}
+        window = Rtw.of_budget(budget)
+        own = ttcp(tests, METRIC, window, engine, priorities=priorities)
+        passed = ttcp(
+            tests, METRIC, window, engine, priorities=priorities, durations=durations_by_id(tests)
+        )
+        assert (passed.ids, passed.total_cost, passed.meta) == (own.ids, own.total_cost, own.meta)
+
 
 class TestAtcs:
     def entry(self, order, failed):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import regsched.simulate as simulate_module
 import regsched.trace as trace_module
-from helpers import stable_failure_bundle
+from helpers import FailingAt, counted, stable_failure_bundle, unshared_bundle
 from regsched import (
     ScenarioConfig,
     TransitionKind,
@@ -380,6 +380,30 @@ class TestRunMany:
         ]
         assert run_many(cfgs) == [run_scenario(c) for c in cfgs]
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.sampled_from([A.transition_mix, PERIODIC_HEAVY]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["retest-all", "random-k", "retecs", "depgraph"]),
+                st.sampled_from(["unbounded", "nightly", "fixed"]),
+                st.sampled_from(["apfd", "fault-count", "coverage"]),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_one_chain_with_varied_windows_metrics_and_strategies(self, mix, picks):
+        cfgs = [
+            replace(
+                A, transition_mix=mix, strategy=strategy, metric=metric,
+                strategy_params={"k": 4} if strategy == "random-k" else {},
+                window_policy=policy, window_value=0 if policy == "fixed" else None,
+            )
+            for strategy, policy, metric in picks
+        ]
+        assert run_many(cfgs) == [run_scenario(c) for c in cfgs]
+
     def test_a_failing_config_fails_the_batch_as_its_own_run_does(self):
         bad = replace(A, strategy="no-such-strategy")
         with pytest.raises(ConfigurationError) as alone:
@@ -399,6 +423,73 @@ class TestRunMany:
         }
         names = SimpleNamespace(**{f.name: f.name for f in fields(ScenarioConfig)})
         assert set(simulate_module._CHAIN_FIELDS(names)) == read
+
+
+def chain_adaptive(seed=1, **fields):
+    """The benchmark's chain-adaptive configs (retecs, depgraph, random-k; nightly), smaller."""
+    base = ScenarioConfig(seed=seed, window_policy="nightly", **fields)
+    return [
+        replace(base, strategy="retecs", metric="apfd"),
+        replace(base, strategy="depgraph"),
+        replace(base, strategy="random-k", strategy_params={"k": 60}),
+    ]
+
+
+def canonical(reports):
+    return [dumps_canonical(report_to_dict(r)) for r in reports]
+
+
+class TestDeriveOnce:
+    """A run_many group derives each pair once; the sharing only skips work."""
+
+    def test_each_pair_is_derived_once_for_every_config(self, monkeypatch):
+        cfgs = chain_adaptive(n_tests=60, n_builds=20)
+        held = [(p.tests, n.tests) for p, n in generate_chain(cfgs[0]).chain.pairs()]
+        set_runs = 1 + sum(a is not c or b is not d for (a, b), (c, d) in zip(held, held[1:]))
+        candidates = counted(monkeypatch, trace_module, "ordered_candidates")
+        kinds = counted(monkeypatch, simulate_module, "classify_transition")
+        contexts = counted(monkeypatch, simulate_module, "MetricContext")
+        run_many(cfgs)
+        assert len(candidates) == set_runs < len(held)
+        assert len(kinds) == len(contexts) == len(held)
+
+    @pytest.mark.parametrize("mix", [A.transition_mix, PERIODIC_HEAVY], ids=["default", "periodic"])
+    def test_equal_copies_of_every_set_and_program_give_the_same_bytes(self, monkeypatch, mix):
+        cfgs = chain_adaptive(n_tests=30, n_builds=12, transition_mix=mix)
+        base = cfgs[0]
+        cfgs += [
+            replace(base, strategy="retest-all", window_policy="unbounded", metric="coverage"),
+            replace(base, strategy_params={"engine": "exact"}, window_policy="sprint"),
+            replace(base, strategy="depgraph", window_policy="fixed", window_value=0),
+        ]
+        expected = canonical(run_many(cfgs))
+        copied = []
+        monkeypatch.setattr(
+            simulate_module,
+            "generate_chain",
+            lambda cfg: copied.append(unshared_bundle(generate_chain(cfg))) or copied[-1],
+        )
+        assert canonical(run_many(cfgs)) == expected
+        for bundle in copied:
+            for b_prev, b_next in bundle.chain.pairs():
+                assert b_prev.tests is not b_next.tests and b_prev.program is not b_next.program
+
+    def test_the_first_error_in_pair_then_config_order_is_raised(self, monkeypatch):
+        monkeypatch.setattr(
+            simulate_module, "make_strategy", lambda name, kw, **_: FailingAt(name, kw["at"])
+        )
+        cfgs = [
+            replace(A, strategy="first", strategy_params={"at": 5}),
+            replace(A, strategy="second", strategy_params={"at": 3}),
+            replace(A, strategy="third", strategy_params={"at": 3}),
+        ]
+        with pytest.raises(RuntimeError, match="^second$"):
+            run_many(cfgs)
+        # Every strategy is built before the pass: a config that cannot be
+        # built fails the group before any pair runs.
+        cfgs[2] = replace(A, metric="no-such-metric")
+        with pytest.raises(ConfigurationError, match="no-such-metric"):
+            run_many(cfgs)
 
 
 class TestStableFailureBundle:

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import regsched.trace as trace_module
-from helpers import build, chain_of, tc
+from helpers import FailingAt, build, chain_of, counted, tc
 from regsched import (
     BuildChain,
     MetricContext,
@@ -13,6 +13,7 @@ from regsched import (
     Trace,
     TraceTuple,
     Transition,
+    TransitionKind,
     TransitionStep,
     ScenarioConfig,
     apfd_metric,
@@ -22,7 +23,9 @@ from regsched import (
     make_strategy,
     record_trace,
     replay_trace,
+    run_side_by_side,
     run_tests,
+    run_transitions,
     trace_from_dict,
     trace_to_dict,
 )
@@ -384,3 +387,68 @@ class TestCompleteness:
         assert not report.all_verified
         assert [b.mismatches for b in report.builds] == [expected(r) for r in honest.tuples]
         assert all(b.ok == (b.mismatches == ()) for b in report.builds)
+
+
+def side_by_side_runs():
+    """A periodic-heavy chain, and fresh runs of every built-in strategy under varied windows."""
+    mix = {TransitionKind.PERIODIC_BUILD: 0.6, TransitionKind.NEW_FEATURE: 0.4}
+    bundle = generate_chain(ScenarioConfig(seed=5, n_builds=12, transition_mix=mix))
+    n = len(bundle.chain) - 1
+    picks = [
+        ("retecs", {}, [Rtw.of_budget(50)] * n),
+        ("depgraph", {}, [UNBOUNDED] * n),
+        ("random-k", {"k": 4}, [Rtw.of_budget(0)] * n),
+        ("retest-all", {}, [Rtw.of_budget(20 + 5 * i) for i in range(n)]),
+    ]
+
+    def fresh():
+        return [
+            (make_strategy(name, kw, graph=bundle.graph, metric=METRIC, seed=5), windows, METRIC)
+            for name, kw, windows in picks
+        ]
+
+    return bundle.chain, fresh
+
+
+class TestSideBySide:
+    def test_each_run_steps_as_it_would_alone(self):
+        chain, fresh = side_by_side_runs()
+        alone = [tuple(run_transitions(s, chain, w, m)) for s, w, m in fresh()]
+        assert list(zip(*run_side_by_side(chain, fresh()))) == alone
+
+    def test_a_pair_is_derived_once_and_kept_while_its_test_sets_are(self, monkeypatch):
+        chain, fresh = side_by_side_runs()
+        derived = counted(monkeypatch, trace_module, "ordered_candidates")
+        last = None
+        for steps in run_side_by_side(chain, fresh()):
+            first = steps[0].transition
+            for step in steps:
+                assert step.transition.candidates is first.candidates
+                assert step.transition.durations is first.durations
+            same_sets = last is not None and (
+                last.b_prev.tests is first.b_prev.tests and last.b_next.tests is first.b_next.tests
+            )
+            assert (last is not None and first.candidates is last.candidates) == same_sets
+            assert any(n is first.b_next for _, n in derived) != same_sets
+            last = first
+        assert len(derived) < len(chain) - 1
+
+    def test_errors_come_in_pair_then_run_order(self):
+        chain = diverging_chain(5)
+        windows = [UNBOUNDED] * 4
+        fail_at = {"a": 5, "b": 3, "c": 3}
+        runs = [(FailingAt(label, at), windows, METRIC) for label, at in fail_at.items()]
+        with pytest.raises(RuntimeError, match="^b$"):
+            list(run_side_by_side(chain, runs))
+
+    def test_a_run_with_the_wrong_window_count_is_rejected_as_alone(self):
+        chain = diverging_chain(3)
+        with pytest.raises(ValueError) as alone:
+            list(run_transitions(RetestAllStrategy(), chain, [UNBOUNDED], METRIC))
+        runs = [
+            (RetestAllStrategy(), [UNBOUNDED] * 2, METRIC),
+            (RetestAllStrategy(), [UNBOUNDED], METRIC),
+        ]
+        with pytest.raises(ValueError) as together:
+            list(run_side_by_side(chain, runs))
+        assert str(together.value) == str(alone.value)
