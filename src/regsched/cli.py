@@ -32,7 +32,8 @@ from .histio import (
 from .metrics import metric_by_name
 from .model import ordered_candidates
 from .regall import failed_ids, reg_all
-from .simulate import ScenarioConfig, generate_chain, run_scenario_with_trace, scenario_eval_context
+from .simulate import (ScenarioConfig, generate_chain, run_scenario, run_scenario_with_trace,
+                       scenario_eval_context)
 from .strategies import infer_changed_classes, make_strategy
 from .techniques import rtm_minimize, rtp_prioritize, rts_select
 from .trace import check_completeness, record_trace, replay_trace
@@ -89,9 +90,12 @@ def _read_config(args) -> ScenarioConfig:
 
 
 def _cmd_simulate(args) -> int:
-    report, trace = run_scenario_with_trace(_read_config(args))
+    cfg = _read_config(args)
     if args.trace:
+        report, trace = run_scenario_with_trace(cfg)
         dump_trace(trace, args.trace)
+    else:
+        report = run_scenario(cfg)
     if args.format == "csv":
         text = report_to_csv(report)
         if args.out:

@@ -98,10 +98,6 @@ class ChangeSet:
     removed_class_deps: frozenset[Edge] = frozenset()
     removed_test_links: frozenset[Edge] = frozenset()
 
-    @classmethod
-    def empty(cls) -> "ChangeSet":
-        return cls()
-
 
 def update_graph(g: DepGraph, changes: ChangeSet) -> DepGraph:
     """Apply a change set, returning the updated graph.

@@ -71,10 +71,6 @@ class UndefinedMetricError(RegschedError):
     """The metric value does not exist for the given inputs."""
 
 
-class IncompleteVerdictsError(RegschedError):
-    """An executed test is missing its pass/fail verdict."""
-
-
 class MalformedGraphError(RegschedError):
     """Dependency-graph data with dangling endpoints or self-loops."""
 

@@ -12,15 +12,16 @@ Two cooperating steps run at every build transition:
   outcome quality, so leftover time is spent where failures showed up
   before.
 
-A lightweight weight-tableau agent ties the cycles together: failing
-tests gain weight, long-passing tests decay, and each executed sequence
-enters a bounded FIFO replay buffer as ``(order, failed)``, which is all
-``atcs`` reads. Unlike RETECS (Spieker et al., ISSTA 2017) the agent
-computes no per-sequence reward: the weights learn from
-``failure_reward`` per failed test, and ``atcs`` re-scores each stored
-order against its own failures. One cycle (plan, run, score, learn) is
-``strategies.RetecsStrategy`` driven by ``trace.run_transitions`` over
-a two-build chain.
+A lightweight weight-tableau agent ties the cycles together. It takes
+each cycle's executed order and the ids of its failed tests, as RETECS
+(Spieker et al., ISSTA 2017) learns from each cycle's failures: failing
+tests gain weight, long-passing tests decay, and the pair enters a
+bounded FIFO replay buffer as ``(order, failed)``, which is all ``atcs``
+reads. Unlike RETECS the agent computes no per-sequence reward: the
+weights learn from ``failure_reward`` per failed test, and ``atcs``
+re-scores each stored order against its own failures. One cycle (plan,
+run, score, learn) is ``strategies.RetecsStrategy`` driven by
+``trace.run_transitions`` over a two-build chain.
 """
 
 from __future__ import annotations
@@ -28,14 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .budget import Rtw, Schedule, durations_by_id, feasible_prefix
-from .errors import (
-    ConfigurationError,
-    IncompleteVerdictsError,
-    UndefinedMetricError,
-)
+from .errors import ConfigurationError, UndefinedMetricError
 from .metrics import MetricContext, QualityMetric
 from .model import TestCase
 from .trace import Transition
@@ -82,9 +79,6 @@ class AgentState:
             raise ConfigurationError("must be a finite number >= 0", field="failure_reward")
         if len(self.buffer) > self.capacity:
             raise ConfigurationError("replay buffer exceeds its capacity", field="buffer")
-
-    def weight(self, test_id: str) -> float:
-        return self.weights.get(test_id, INITIAL_WEIGHT)
 
 
 def ttcp(
@@ -229,23 +223,15 @@ def plan_schedule(
     return Schedule(tuple(merged), total, meta)
 
 
-def agent_update(
-    state: AgentState,
-    executed: Schedule,
-    verdicts: Mapping[str, bool],
-) -> AgentState:
-    """Fold one executed schedule's outcomes into the agent.
+def agent_update(state: AgentState, executed: Schedule, failed: Iterable[str]) -> AgentState:
+    """Fold one executed schedule's failures into the agent.
 
-    ``verdicts`` maps each executed test id to pass (True) / fail
-    (False); a missing entry is an error. The executed order and its
-    failed tests enter the replay buffer, an empty schedule too,
-    evicting the oldest entry at capacity. Only executed tests' weights
-    move.
+    ``failed`` holds the ids of the tests that failed; ids outside the
+    schedule are ignored. The executed order and its failed tests enter
+    the replay buffer, an empty schedule too, evicting the oldest entry
+    at capacity. Only executed tests' weights move.
     """
-    missing = [t for t in executed.ids if t not in verdicts]
-    if missing:
-        raise IncompleteVerdictsError(f"missing verdicts for executed tests: {missing}")
-    failed = frozenset(t for t in executed.ids if not verdicts[t])
+    failed = frozenset(failed).intersection(executed.ids)
     weights = dict(state.weights)
     for test_id in executed.ids:
         w = weights.get(test_id, INITIAL_WEIGHT)

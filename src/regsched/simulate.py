@@ -18,6 +18,7 @@ fractions are configuration, nothing more.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field, fields
 from itertools import groupby
 from operator import attrgetter
@@ -442,22 +443,19 @@ class RunReport:
     fault_recall: float | None
 
 
-def _row(step: TransitionStep, kind: str, births: Mapping[str, frozenset[str]]) -> TransitionRow:
-    """One step's report row; ``kind`` and ``births`` are its pair's, shared by every run."""
-    transition, verdicts = step.transition, step.verdicts
-    b_prev, b_next, window = transition.b_prev, transition.b_next, transition.window
+def _row(
+    step: TransitionStep, kind: str, births: Mapping[str, frozenset[str]], match: bool | None
+) -> TransitionRow:
+    """One step's report row: ``kind`` and ``births`` are its pair's, ``match`` its reg_all check."""
     executed = set(step.schedule.ids)
-    match = None
-    if window.is_unbounded:
-        match = tuple(sorted(verdicts)) == reg_all(b_prev, b_next, window).verdicts
     return TransitionRow(
-        build_index=b_next.index,
+        build_index=step.transition.b_next.index,
         transition=kind,
-        candidate_count=len(transition.candidates),
+        candidate_count=len(step.transition.candidates),
         schedule=step.schedule.ids,
         total_cost=step.schedule.total_cost,
         q_value=step.q_value,
-        failed=tuple(sorted(failed_ids(verdicts))),
+        failed=tuple(sorted(failed_ids(step.verdicts))),
         undetected_faults=tuple(sorted(f for f, tests in births.items() if not tests & executed)),
         regall_match=match,
     )
@@ -479,8 +477,12 @@ def _summary(cfg: ScenarioConfig, bundle: HistoryBundle, rows: list[TransitionRo
     )
 
 
-def _run_group(cfgs: Sequence[ScenarioConfig], bundle: HistoryBundle, kept: list | None = None):
-    """The configs' reports, a row per step as it arrives; ``kept`` gets the first config's steps."""
+def _run_group(cfgs: Sequence[ScenarioConfig], bundle: HistoryBundle, reports: list[RunReport]):
+    """Yield each pair's first step once every config has its row; then add the reports.
+
+    ``reg_all`` runs once per pair, and only when some config's window
+    for that pair is unbounded.
+    """
     runs = []
     for cfg in cfgs:
         metric = metric_by_name(cfg.metric)
@@ -492,28 +494,34 @@ def _run_group(cfgs: Sequence[ScenarioConfig], bundle: HistoryBundle, kept: list
     for steps in run_side_by_side(bundle.chain, runs, eval_context=scenario_eval_context(bundle)):
         b_prev, b_next = steps[0].transition.b_prev, steps[0].transition.b_next
         kind, births = classify_transition(b_prev, b_next).value, active_faults(bundle, b_next.index)
+        expected = None
         for run_rows, step in zip(rows, steps):
-            run_rows.append(_row(step, kind, births))
-        if kept is not None:
-            kept.append(steps[0])
-    return [_summary(cfg, bundle, run_rows) for cfg, run_rows in zip(cfgs, rows)]
+            match = None
+            if step.transition.window.is_unbounded:
+                if expected is None:
+                    expected = reg_all(b_prev, b_next, step.transition.window).verdicts
+                match = tuple(sorted(step.verdicts)) == expected
+            run_rows.append(_row(step, kind, births, match))
+        del expected  # not held while the next pair runs
+        yield steps[0]
+    reports += [_summary(cfg, bundle, run_rows) for cfg, run_rows in zip(cfgs, rows)]
 
 
 def run_scenario_with_trace(cfg: ScenarioConfig) -> tuple[RunReport, Trace]:
-    """Run one scenario and return its report and trace, both read from one run's steps."""
+    """Run one scenario and return its report and trace; each record is made as its step passes."""
     bundle = generate_chain(cfg)
-    kept: list[TransitionStep] = []
-    (report,) = _run_group([cfg], bundle, kept)
-    return report, Trace.of_run(bundle.chain, kept)
+    reports: list[RunReport] = []
+    trace = Trace.of_run(bundle.chain, _run_group([cfg], bundle, reports))
+    return reports[0], trace
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run one scenario and return its report; no step is kept and no trace record made."""
-    return _run_group([cfg], generate_chain(cfg))[0]
+    return run_many([cfg])[0]
 
 
 def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
-    """Run scenarios and return ``[run_scenario(c) for c in cfgs]``.
+    """Run scenarios and return one report per config, in order.
 
     Consecutive configs that agree (by ``==``) on every field
     :func:`generate_chain` reads run on one generated bundle, which no run
@@ -526,6 +534,6 @@ def run_many(cfgs: Sequence[ScenarioConfig]) -> list[RunReport]:
     for _, group in groupby(cfgs, _CHAIN_FIELDS):
         same_chain = list(group)
         bundle = generate_chain(same_chain[0])
-        reports += _run_group(same_chain, bundle)
+        deque(_run_group(same_chain, bundle, reports), maxlen=0)  # keeps no step
         del bundle  # freed before the next chain is generated
     return reports

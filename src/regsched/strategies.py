@@ -15,7 +15,6 @@ the same strategy twice over the same chain yields identical traces.
 from __future__ import annotations
 
 import random
-from operator import itemgetter
 from typing import Mapping
 
 from .budget import Schedule, feasible_prefix
@@ -88,9 +87,7 @@ class RetecsStrategy:
         return plan_schedule(transition, self.state, self.metric, self.engine)
 
     def observe(self, step: TransitionStep) -> None:
-        passed = dict.fromkeys(map(itemgetter(0), step.verdicts), True)
-        passed.update(dict.fromkeys(failed_ids(step.verdicts), False))
-        self.state = agent_update(self.state, step.schedule, passed)
+        self.state = agent_update(self.state, step.schedule, failed_ids(step.verdicts))
 
 
 def infer_changed_classes(

@@ -15,10 +15,12 @@ transition, the priced schedule, the verdicts and the quality value, and
 against the same chain reproduces the original schedules and verdicts
 bit for bit, and enforces the same per-build contract as recording: a
 schedule outside its candidates or over its ``delta_tau`` is rejected.
-:func:`check_completeness` tests that claim on one run: it replays the
-run's own records and compares each build's schedule, verdicts, budget
-and quality value with what ran. The trace file format lives in
-:mod:`regsched.histio`; this module knows no JSON.
+:func:`check_completeness` tests that claim on one run: it replays each
+build's record as its step passes and compares the build's schedule,
+verdicts, budget and quality value with what ran. Every consumer reads a
+step once, as it passes; nothing here keeps a whole run's steps. The
+trace file format lives in :mod:`regsched.histio`; this module knows no
+JSON.
 
 Build 1 has no predecessor, so its record carries an empty schedule, a
 zero budget, and no quality value. Records with an unbounded budget are
@@ -28,6 +30,7 @@ time-boxed pipelines can reject them as policy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -123,9 +126,12 @@ class Trace:
 
     @classmethod
     def of_run(cls, chain: BuildChain, steps: Iterable[TransitionStep]) -> "Trace":
-        """Build 1's empty record followed by one record per step of the chain's run."""
+        """Build 1's empty record followed by one record per step of the chain's run.
+
+        ``steps`` is read once, to the end, and no step is kept.
+        """
         records = (_snapshot(step.transition.b_next, step) for step in steps)
-        return cls((_snapshot(chain.builds[0]), *records) if chain.builds else ())
+        return cls((*map(_snapshot, chain.builds[:1]), *records))
 
 
 def _default_eval_context(
@@ -277,6 +283,18 @@ def _check_snapshot(record: TraceTuple, build: Build) -> None:
             raise TraceDivergenceError(build.index, name)
 
 
+def _replay(record: TraceTuple, prev: Build | None, build: Build) -> ReplayStep:
+    """Re-execute one record against ``build``; ``prev`` is None for the first build."""
+    _check_snapshot(record, build)
+    durations = Transition.of(prev, build, Rtw.of_budget(record.delta_tau)).durations if prev else {}
+    breach = _contract_breach(record.schedule, durations, record.delta_tau)
+    if breach:
+        raise TraceDivergenceError(build.index, breach[0])
+    schedule = Schedule.from_ids(record.schedule, durations, technique="replay")
+    verdicts = run_tests(prev, build, record.schedule) if prev else ()
+    return ReplayStep(record.index, schedule, verdicts)
+
+
 def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
     """Re-execute a recorded trace against a chain.
 
@@ -288,21 +306,7 @@ def replay_trace(trace: Trace, chain: BuildChain) -> tuple[ReplayStep, ...]:
     """
     if len(trace) != len(chain):
         raise TraceDivergenceError(min(len(trace), len(chain)) + 1, "length")
-    steps: list[ReplayStep] = []
-    prev: Build | None = None
-    for record, build in zip(trace.tuples, chain.builds):
-        _check_snapshot(record, build)
-        durations = (
-            Transition.of(prev, build, Rtw.of_budget(record.delta_tau)).durations if prev else {}
-        )
-        breach = _contract_breach(record.schedule, durations, record.delta_tau)
-        if breach:
-            raise TraceDivergenceError(build.index, breach[0])
-        schedule = Schedule.from_ids(record.schedule, durations, technique="replay")
-        verdicts = run_tests(prev, build, record.schedule) if prev else ()
-        steps.append(ReplayStep(record.index, schedule, verdicts))
-        prev = build
-    return tuple(steps)
+    return tuple(map(_replay, trace.tuples, (None, *chain.builds), chain.builds))
 
 
 @dataclass(frozen=True)
@@ -338,25 +342,32 @@ def check_completeness(
 ) -> CompletenessReport:
     """Verify, build by build, that the recording reproduces the live run.
 
-    Runs the strategy once and replays the trace of that run (a record that
-    breaks its snapshot or contract raises :class:`TraceDivergenceError`).
+    Runs the strategy once and replays each build's record as its step
+    passes (a record that breaks its snapshot or contract raises
+    :class:`TraceDivergenceError`); no step or record is kept. As in
+    :func:`record_trace`, a chain whose first build is not 1 is a
+    ``ValueError``.
     Each build's live schedule and verdicts must equal the replayed ones,
     its recorded ``delta_tau`` the live window's budget (0 for build 1),
     and its recorded ``q_value`` the one the metric and eval context give
     the replayed verdicts (``None`` for build 1). A mismatch names the field.
     """
-    steps = tuple(run_transitions(strategy, chain, windows, metric, eval_context=eval_context))
-    trace = Trace.of_run(chain, steps)
+    steps = run_transitions(strategy, chain, windows, metric, eval_context=eval_context)
+    first = ((None, build, None) for build in chain.builds[:1])
+    pairs = ((s.transition.b_prev, s.transition.b_next, s) for s in steps)
     build_context = eval_context or _default_eval_context
     names = ("schedule", "verdicts", "delta_tau", "q_value")
     results: list[BuildVerification] = []
-    for rec, again, step in zip(trace.tuples, replay_trace(trace, chain), (None, *steps)):
+    for prev, build, step in itertools.chain(first, pairs):
+        record = _snapshot(build, step)
+        if prev is None:
+            Trace((record,))  # indices must start at 1; the run keeps them consecutive
+        again = _replay(record, prev, build)
         ids, verdicts, q = again.schedule.ids, again.verdicts, None
         live = ((), (), 0)
         if step:
-            t = step.transition
-            live = (step.schedule.ids, step.verdicts, t.window.budget())
-            q = _quality(metric, ids, build_context(t.b_prev, t.b_next, ids, verdicts))
-        pairs = zip(names, (*live, rec.q_value), (ids, verdicts, rec.delta_tau, q))
-        results.append(BuildVerification(rec.index, tuple(n for n, a, b in pairs if a != b)))
+            live = (step.schedule.ids, step.verdicts, step.transition.window.budget())
+            q = _quality(metric, ids, build_context(prev, build, ids, verdicts))
+        compared = zip(names, (*live, record.q_value), (ids, verdicts, record.delta_tau, q))
+        results.append(BuildVerification(record.index, tuple(n for n, a, b in compared if a != b)))
     return CompletenessReport(tuple(results))

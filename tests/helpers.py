@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -101,6 +102,17 @@ def counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, count)
     return calls
+
+
+def peak_mib(fn) -> float:
+    """The ``tracemalloc`` peak of a second call of ``fn``, in MiB; the first warms caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def unshared(b: Build) -> Build:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import regsched.trace as trace_module
+from helpers import counted
 from regsched import ScenarioConfig, generate_chain, run_scenario
 from regsched.cli import main
 from regsched.histio import (
@@ -75,6 +77,36 @@ class TestSimulate:
             == 0
         )
         assert len(load_trace(trace_path)) == 8
+
+    def test_makes_a_trace_only_when_asked(self, config_file, tmp_path, monkeypatch):
+        records = counted(monkeypatch, trace_module, "_snapshot")
+        plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+        assert run_cli("simulate", "--config", config_file, "--out", plain) == 0
+        assert records == []
+        trace_path = tmp_path / "trace.json"
+        assert run_cli("simulate", "--config", config_file, "--out", traced, "--trace", trace_path) == 0
+        assert len(records) == len(load_trace(trace_path)) == 8
+        assert plain.read_bytes() == traced.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"strategy": "retest-all", "window_policy": "unbounded", "metric": "coverage"},
+            {"strategy": "retecs"},
+            {"strategy": "depgraph", "window_policy": "sprint"},
+            {"strategy": "random-k", "strategy_params": {"k": 5}, "fault_rate": 0.5},
+        ],
+        ids=["retest-all-unbounded", "retecs", "depgraph", "random-k"],
+    )
+    def test_report_bytes_do_not_depend_on_trace(self, tmp_path, fields, fmt):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps({"seed": 7, "n_builds": 12, "n_tests": 30, **fields}))
+        plain, traced = tmp_path / "plain", tmp_path / "traced"
+        args = ("simulate", "--config", config, "--format", fmt, "--out")
+        assert run_cli(*args, plain) == 0
+        assert run_cli(*args, traced, "--trace", tmp_path / "trace.json") == 0
+        assert plain.read_bytes() == traced.read_bytes()
 
     def test_seed_override_changes_output(self, config_file, capsys):
         run_cli("simulate", "--config", config_file)

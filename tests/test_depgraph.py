@@ -80,7 +80,7 @@ class TestBuildGraph:
 class TestUpdateGraph:
     def test_empty_changeset_is_identity(self):
         g = small_graph()
-        assert update_graph(g, ChangeSet.empty()) == g
+        assert update_graph(g, ChangeSet()) == g
 
     def test_removing_a_class_drops_incident_edges(self):
         g = small_graph()

@@ -26,11 +26,7 @@ from regsched import (
     ttcp,
 )
 from regsched.budget import durations_by_id
-from regsched.errors import (
-    BuildOrderError,
-    ConfigurationError,
-    IncompleteVerdictsError,
-)
+from regsched.errors import BuildOrderError, ConfigurationError
 
 METRIC = fault_count_metric()
 
@@ -266,7 +262,7 @@ class TestAgentUpdate:
 
     def test_all_passing_weights_decay(self):
         executed = Schedule(("a", "b"), 0)
-        updated = agent_update(self.state(), executed, {"a": True, "b": True})
+        updated = agent_update(self.state(), executed, ())
         assert updated.weights["a"] == 2.0 * 0.95
         assert updated.weights["b"] == 1.0 * 0.95
         assert updated.weights["c"] == 4.0  # untouched
@@ -274,35 +270,37 @@ class TestAgentUpdate:
     def test_failing_test_weight_strictly_increases(self):
         # Hand-applied rule on the 3-test state: 2.0 * 0.95 + 1.0 = 2.9.
         executed = Schedule(("a", "b"), 0)
-        updated = agent_update(self.state(), executed, {"a": False, "b": True})
+        updated = agent_update(self.state(), executed, ["a"])
         assert updated.weights["a"] == pytest.approx(2.9)
         assert updated.weights["a"] > 2.0
         assert updated.buffer[-1] == BufferEntry(("a", "b"), frozenset({"a"}))
 
     def test_empty_schedule_appends_an_empty_entry(self):
-        updated = agent_update(self.state(), Schedule.empty(), {})
+        updated = agent_update(self.state(), Schedule.empty(), ())
         assert updated.weights == self.state().weights
         assert updated.buffer == (BufferEntry((), frozenset()),)
 
     def test_buffer_entry_holds_only_the_order_and_its_failures(self):
         assert [f.name for f in fields(BufferEntry)] == ["order", "failed"]
 
-    def test_missing_verdict_rejected(self):
-        with pytest.raises(IncompleteVerdictsError):
-            agent_update(self.state(), Schedule(("a",), 0), {})
+    def test_a_failed_id_outside_the_schedule_changes_nothing(self):
+        executed = Schedule(("a", "b"), 0)
+        inside = agent_update(self.state(), executed, ["a"])
+        assert agent_update(self.state(), executed, ["a", "c", "zz"]) == inside
+        assert inside.buffer[-1] == BufferEntry(("a", "b"), frozenset({"a"}))
+        assert inside.weights["c"] == 4.0
 
     def test_buffer_eviction_is_fifo(self):
         state = AgentState(capacity=2)
         for n in range(4):
-            state = agent_update(state, Schedule((f"t{n}",), 0), {f"t{n}": True})
+            state = agent_update(state, Schedule((f"t{n}",), 0), ())
         assert [e.order for e in state.buffer] == [("t2",), ("t3",)]
         assert len(state.buffer) == 2
 
     def test_update_is_deterministic(self):
         executed = Schedule(("a", "b", "c"), 0)
-        verdicts = {"a": False, "b": True, "c": False}
-        once = agent_update(self.state(), executed, verdicts)
-        twice = agent_update(self.state(), executed, verdicts)
+        once = agent_update(self.state(), executed, ["a", "c"])
+        twice = agent_update(self.state(), executed, ["c", "a"])
         assert once == twice
 
 
@@ -338,7 +336,7 @@ class TestCycle:
         state = AgentState()
         # Even with junk history in the buffer the unbounded cycle must
         # degenerate to running everything.
-        state = agent_update(state, Schedule(("a",), 5), {"a": False})
+        state = agent_update(state, Schedule(("a",), 5), ["a"])
         step, _ = cycle(b1, b2, state, window)
         reference = reg_all(b1, b2, window)
         assert sorted(step.verdicts, key=lambda v: v.test_id) == list(reference.verdicts)
@@ -356,5 +354,5 @@ class TestCycle:
         for _ in range(3):
             sched = plan_schedule(transition, state, METRIC)
             assert sched.total_cost <= budget
-            verdicts = {t: rng.random() < 0.8 for t in sched.ids}
-            state = agent_update(state, sched, verdicts)
+            failed = [t for t in sched.ids if rng.random() >= 0.8]
+            state = agent_update(state, sched, failed)

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 
 import regsched.simulate as simulate_module
 import regsched.trace as trace_module
-from helpers import FailingAt, counted, stable_failure_bundle, unshared_bundle
+from helpers import FailingAt, counted, peak_mib, stable_failure_bundle, unshared_bundle
 from regsched import (
+    Rtw,
     ScenarioConfig,
     TransitionKind,
     active_faults,
     classify_transition,
     generate_chain,
+    reg_all,
     run_many,
     run_scenario,
     run_scenario_with_trace,
+    run_tests,
     windows_for,
 )
 from regsched.errors import ConfigurationError
@@ -245,6 +248,14 @@ class TestRunScenario:
 
         monkeypatch.setattr(trace_module, "_snapshot", no_record)
         assert run_scenario(cfg) == expected
+
+    def test_a_traced_run_keeps_no_step(self):
+        # Both peaks hold the report; the traced run adds only the records.
+        cfg = ScenarioConfig(
+            seed=1, n_tests=200, n_builds=50, window_policy="unbounded", strategy="retest-all"
+        )
+        traced = peak_mib(lambda: run_scenario_with_trace(cfg))
+        assert traced <= 1.2 * peak_mib(lambda: run_scenario(cfg))
 
     def test_rows_count_transitions(self):
         report = run_scenario(ScenarioConfig(seed=8, n_builds=10))
@@ -504,3 +515,47 @@ class TestStableFailureBundle:
         bundle = stable_failure_bundle(n_tests=6, n_cycles=3, n_flaky=1)
         for i in range(2, 5):
             assert len(active_faults(bundle, i)) == 1
+
+
+class TestRegAllOncePerPair:
+    """A group runs ``reg_all`` once per pair, and only where some window is unbounded."""
+
+    @staticmethod
+    def expected_matches(bundle, report):
+        """Each row's ``regall_match``, recomputed row by row from the definition."""
+        unbounded = Rtw.unbounded()
+        matches = []
+        for (p, n), row in zip(bundle.chain.pairs(), report.rows):
+            full = reg_all(p, n, unbounded).verdicts
+            matches.append(tuple(sorted(run_tests(p, n, row.schedule))) == full)
+        return matches
+
+    def test_three_unbounded_configs_share_each_pairs_reg_all(self, monkeypatch):
+        base = ScenarioConfig(seed=1, n_tests=60, n_builds=20, window_policy="unbounded")
+        cfgs = [
+            replace(base, strategy="retest-all"),
+            replace(base, strategy="retecs"),
+            replace(base, strategy="random-k", strategy_params={"k": 30}),
+        ]
+        alone = canonical([run_scenario(c) for c in cfgs])
+        calls = counted(monkeypatch, simulate_module, "reg_all")
+        reports = run_many(cfgs)
+        assert len(calls) == 19
+        assert canonical(reports) == alone
+        bundle = generate_chain(base)
+        for report in reports:
+            assert [r.regall_match for r in report.rows] == self.expected_matches(bundle, report)
+
+    def test_pairs_with_no_unbounded_window_run_no_reg_all(self, monkeypatch):
+        base = ScenarioConfig(seed=1, n_tests=30, n_builds=9, window_policy="fixed", window_value=40)
+        gaps = (None, 40, 40, None, 40, 40, 40, None)
+        cfgs = [base, replace(base, window_policy="list", window_values=gaps)]
+        calls = counted(monkeypatch, simulate_module, "reg_all")
+        bounded, listed = run_many(cfgs)
+        assert len(calls) == gaps.count(None)
+        assert all(r.regall_match is None for r in bounded.rows)
+        bundle = generate_chain(base)
+        expected = self.expected_matches(bundle, listed)
+        assert [r.regall_match for r in listed.rows] == [
+            None if w is not None else m for w, m in zip(gaps, expected)
+        ]

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import regsched.trace as trace_module
-from helpers import FailingAt, build, chain_of, counted, tc
+from helpers import FailingAt, build, chain_of, counted, peak_mib, tc
 from regsched import (
     BuildChain,
     MetricContext,
@@ -348,6 +348,26 @@ class TestCompleteness:
         report = check_completeness(RetestAllStrategy(), BuildChain(builds=()), [], METRIC)
         assert report.builds == ()
         assert report.all_verified
+
+    def test_keeps_no_step_or_record(self):
+        cfg = ScenarioConfig(
+            seed=1, n_tests=200, n_builds=50, window_policy="unbounded", strategy="retest-all"
+        )
+        chain = generate_chain(cfg).chain
+        windows = [UNBOUNDED] * (len(chain) - 1)
+        checked = peak_mib(lambda: check_completeness(RetestAllStrategy(), chain, windows, METRIC))
+        assert checked <= peak_mib(lambda: record_trace(RetestAllStrategy(), chain, windows, METRIC))
+
+    @pytest.mark.parametrize("n_builds", [1, 3])
+    def test_a_chain_not_starting_at_build_1_fails_as_recording_does(self, n_builds):
+        chain = chain_of(*(build(i, [tc("a"), tc("b")]) for i in range(2, n_builds + 2)))
+        windows = [UNBOUNDED] * (n_builds - 1)
+        with pytest.raises(ValueError) as recorded:
+            record_trace(RetestAllStrategy(), chain, windows, METRIC)
+        with pytest.raises(ValueError) as checked:
+            check_completeness(RetestAllStrategy(), chain, windows, METRIC)
+        assert str(checked.value) == str(recorded.value)
+        assert "must run 1..n" in str(checked.value)
 
     def test_metric_undefined_on_both_sides_verifies(self):
         # No test ever fails, so APFD has no fault to detect on any build.
