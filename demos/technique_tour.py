@@ -9,7 +9,6 @@ from regsched import (
     MetricContext,
     ProgramVersion,
     Rtw,
-    SpecSet,
     TestCase,
     UserStory,
     apfd,
@@ -40,7 +39,7 @@ def make_transition():
     before = Build(
         index=1,
         program=ProgramVersion(1, expected),
-        specs=SpecSet(frozenset(stories)),
+        specs=frozenset(stories),
         tests=frozenset(tests),
         ready_at=0,
     )
@@ -48,7 +47,7 @@ def make_transition():
     after = Build(
         index=2,
         program=ProgramVersion(2, {**expected, "t-db": "MISSING-ROW"}),
-        specs=SpecSet(frozenset(stories)),
+        specs=frozenset(stories),
         tests=frozenset(tests),
         ready_at=50,
     )

@@ -54,7 +54,6 @@ from .model import (
     ProgramVersion,
     Region,
     Release,
-    SpecSet,
     TestCase,
     TransitionDeltas,
     TransitionKind,

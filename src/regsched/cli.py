@@ -20,14 +20,12 @@ from .histio import (
     dump_history,
     dump_trace,
     dumps_canonical,
-    export_report,
     ingest_history,
     load_report,
     load_trace,
     loads_json,
     read_json,
-    report_to_csv,
-    report_to_dict,
+    report_text,
 )
 from .metrics import metric_by_name
 from .model import ordered_candidates
@@ -64,12 +62,16 @@ def _windows_arg(args, transitions: int) -> list[Rtw]:
     return [_parse_window(args.window)] * transitions
 
 
-def _emit(args, payload: dict) -> None:
-    text = dumps_canonical(payload)
-    if getattr(args, "out", None):
+def _write(args, text: str) -> None:
+    """Every verb's output: the file named by ``--out``, else stdout."""
+    if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, dumps_canonical(payload))
 
 
 def _load_transition(args):
@@ -96,14 +98,7 @@ def _cmd_simulate(args) -> int:
         dump_trace(trace, args.trace)
     else:
         report = run_scenario(cfg)
-    if args.format == "csv":
-        text = report_to_csv(report)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit(args, report_to_dict(report))
+    _write(args, report_text(report, args.format))
     return 0
 
 
@@ -238,8 +233,7 @@ def _cmd_trace_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = load_report(args.input)
-    export_report(report, args.format, args.out)
+    _write(args, report_text(load_report(args.input), args.format))
     return 0
 
 
@@ -345,10 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RegschedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (RegschedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

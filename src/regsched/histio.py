@@ -48,7 +48,6 @@ from .model import (
     BuildChain,
     Iteration,
     ProgramVersion,
-    SpecSet,
     TestCase,
     UserStory,
     diverged_tests,
@@ -77,7 +76,7 @@ def serialize_history(bundle: HistoryBundle) -> dict:
                 "ready_at": b.ready_at,
                 "stories": [
                     {"id": s.id, "bv": s.bv, "sp": s.sp}
-                    for s in sorted(b.specs.stories, key=lambda s: s.id)
+                    for s in sorted(b.specs, key=lambda s: s.id)
                 ],
                 "tests": [
                     {
@@ -309,7 +308,7 @@ def _parse_bundle(data: dict) -> HistoryBundle:
             Build(
                 index=index,
                 program=programs[pid],
-                specs=SpecSet(frozenset(stories.values())),
+                specs=frozenset(stories.values()),
                 tests=frozenset(tests),
                 ready_at=ready_at,
             )
@@ -597,14 +596,18 @@ def report_to_csv(report: RunReport) -> str:
     return out.getvalue()
 
 
-def export_report(report: RunReport, fmt: str, path: str | Path) -> None:
-    """Write a report as ``json`` or ``csv``; identical reports give identical bytes."""
+def report_text(report: RunReport, fmt: str) -> str:
+    """A report as ``json`` or ``csv`` text; identical reports give identical bytes."""
     if fmt == "json":
-        Path(path).write_text(dumps_canonical(report_to_dict(report)))
-    elif fmt == "csv":
-        Path(path).write_text(report_to_csv(report))
-    else:
-        raise HistoryFormatError(f"unknown report format {fmt!r}")
+        return dumps_canonical(report_to_dict(report))
+    if fmt == "csv":
+        return report_to_csv(report)
+    raise HistoryFormatError(f"unknown report format {fmt!r}")
+
+
+def export_report(report: RunReport, fmt: str, path: str | Path) -> None:
+    """Write a report's :func:`report_text` to ``path``."""
+    Path(path).write_text(report_text(report, fmt))
 
 
 def load_report(path: str | Path) -> RunReport:
@@ -654,7 +657,7 @@ def trace_from_dict(data: dict) -> Trace:
         )
         try:
             records.append(TraceTuple(index, **fields))
-        except ValueError as exc:  # the schedule leaves the snapshot's tests
+        except ValueError as exc:  # the schedule repeats an id or leaves the snapshot
             raise HistoryFormatError(f"{path}.schedule: {exc}") from exc
     return Trace(tuple(records))
 

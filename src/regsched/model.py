@@ -1,10 +1,11 @@
 """Core domain model: test cases, user stories, builds, chains, releases.
 
-A build bundles a program version, its active user stories, and its test
-set at one point in time. Chains order builds by index and readiness
-timestamp; consecutive builds define a regression candidate set (the
-tests shared by both, matched by id). All values are immutable after
-construction and safe to share across threads.
+A build bundles a program version, its active user stories (its
+specification set), and its test set at one point in time; test ids and
+story ids are each unique within a build. Chains order builds by index
+and readiness timestamp; consecutive builds define a regression
+candidate set (the tests shared by both, matched by id). All values are
+immutable after construction and safe to share across threads.
 
 Time is abstract: durations and timestamps are non-negative integers in
 "microunits", so budget arithmetic is exact and feasibility checks are
@@ -75,27 +76,6 @@ class UserStory:
             raise ValueError("business value and story points must be non-negative")
 
 
-@dataclass(frozen=True)
-class SpecSet:
-    """A finite set of user stories with unique ids."""
-
-    stories: frozenset[UserStory]
-
-    def __post_init__(self) -> None:
-        if len(self.ids()) != len(self.stories):
-            raise ValueError("duplicate story ids in specification set")
-
-    @classmethod
-    def of(cls, *stories: UserStory) -> "SpecSet":
-        return cls(frozenset(stories))
-
-    def ids(self) -> frozenset[str]:
-        return frozenset(map(_id, self.stories))
-
-    def __len__(self) -> int:
-        return len(self.stories)
-
-
 @dataclass(frozen=True, eq=True)
 class ProgramVersion:
     """A program snapshot, simulated by a behavior map.
@@ -122,14 +102,15 @@ class ProgramVersion:
 class Build:
     """One increment of the product: program, stories, tests, readiness time.
 
-    Test ids are unique within a build: two tests sharing an id (say,
-    with different durations) raise :class:`MalformedBuildError` naming
-    the build and the id, so every consumer may index tests by id.
+    ``specs`` is the build's specification set. Test ids and story ids
+    are each unique within a build: two tests (or two stories) sharing
+    an id, say with different values, raise :class:`MalformedBuildError`
+    naming the build and the id, so every consumer may index them by id.
     """
 
     index: int
     program: ProgramVersion
-    specs: SpecSet
+    specs: frozenset[UserStory]
     tests: frozenset[TestCase]
     ready_at: int
 
@@ -138,16 +119,20 @@ class Build:
             raise ValueError("build index must be a positive integer")
         if self.ready_at < 0:
             raise ValueError("ready_at must be non-negative")
-        if len(self.test_ids()) != len(self.tests):
-            ids = list(map(_id, self.tests))
+        self._check_unique("story", self.specs)
+        self._check_unique("test", self.tests)
+
+    def _check_unique(self, kind: str, items: frozenset) -> None:
+        if len(frozenset(map(_id, items))) != len(items):
+            ids = list(map(_id, items))
             repeated = min(i for i in ids if ids.count(i) > 1)
-            raise MalformedBuildError(f"build {self.index} has duplicate test id {repeated!r}")
+            raise MalformedBuildError(f"build {self.index} has duplicate {kind} id {repeated!r}")
 
     def test_ids(self) -> frozenset[str]:
         return frozenset(map(_id, self.tests))
 
     def story_ids(self) -> frozenset[str]:
-        return self.specs.ids()
+        return frozenset(map(_id, self.specs))
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .model import (
     BuildChain,
     Iteration,
     ProgramVersion,
-    SpecSet,
     TestCase,
     TransitionKind,
     UserStory,
@@ -252,7 +251,7 @@ def generate_chain(cfg: ScenarioConfig) -> HistoryBundle:
         Build(
             index=1,
             program=program,
-            specs=SpecSet(frozenset(active_stories.values())),
+            specs=frozenset(active_stories.values()),
             tests=tests,
             ready_at=ready,
         )
@@ -342,7 +341,7 @@ def generate_chain(cfg: ScenarioConfig) -> HistoryBundle:
             Build(
                 index=i,
                 program=program,
-                specs=SpecSet(frozenset(active_stories.values())),
+                specs=frozenset(active_stories.values()),
                 tests=tests,
                 ready_at=ready,
             )

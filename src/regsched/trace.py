@@ -99,7 +99,10 @@ class TraceTuple:
     schedule: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        extra = set(self.schedule) - set(self.test_ids)
+        scheduled = set(self.schedule)
+        if len(scheduled) != len(self.schedule):
+            raise ValueError("schedule contains duplicate test ids")
+        extra = scheduled.difference(self.test_ids)
         if extra:
             raise ValueError(f"schedule references tests outside the snapshot: {sorted(extra)}")
 

@@ -22,7 +22,6 @@ from regsched import (
     Iteration,
     ProgramVersion,
     RetestAllStrategy,
-    SpecSet,
     TestCase,
     UserStory,
     build_graph,
@@ -60,7 +59,7 @@ def build(
     return Build(
         index=index,
         program=ProgramVersion(program_id if program_id is not None else index, behavior),
-        specs=SpecSet(frozenset(stories)),
+        specs=frozenset(stories),
         tests=frozenset(tests),
         ready_at=ready_at if ready_at is not None else index * 10,
     )
@@ -183,7 +182,7 @@ def stable_failure_bundle(
             Build(
                 index=i,
                 program=ProgramVersion(i, behavior),
-                specs=SpecSet(frozenset({story})),
+                specs=frozenset({story}),
                 tests=frozenset(tests),
                 ready_at=(i - 1) * 10,
             )

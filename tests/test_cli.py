@@ -10,7 +10,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import regsched.trace as trace_module
@@ -325,6 +325,10 @@ class TestTraceCommands:
             ("trace", ("tuples", 1, "delta_tau"), "7", "$.tuples[1].delta_tau: "),
             ("trace", ("tuples", 1, "delta_tau"), True, "$.tuples[1].delta_tau: "),
             ("trace", ("tuples", 1, "schedule"), ["ghost"], "$.tuples[1].schedule: "),
+            (
+                "trace", ("tuples", 1, "schedule"), ["t001", "t001"],
+                "$.tuples[1].schedule: schedule contains duplicate test ids",
+            ),
             ("trace", ("tuples", 2, "index"), 7, "$.tuples[2].index: "),
             ("trace", ("tuples", 0, "index"), True, "$.tuples[0].index: expected an integer"),
             (
@@ -384,6 +388,7 @@ class TestTraceCommands:
             "delta-tau-a-string",
             "delta-tau-a-bool",
             "schedule-outside-snapshot",
+            "schedule-repeats-an-id",
             "index-out-of-order",
             "index-a-bool",
             "program-id-a-bool",
@@ -617,12 +622,22 @@ class TestReportCommand:
         run_cli("report", "--in", report_path, "--format", "json", "--out", copy_path)
         assert load_report(copy_path) == load_report(report_path)
 
-    def test_missing_file_fails(self, tmp_path, capsys):
-        assert (
-            run_cli("report", "--in", tmp_path / "ghost.json", "--format", "csv",
-                    "--out", tmp_path / "o.csv")
-            == 1
-        )
+    def test_missing_file_fails(self, tmp_path, config_file, history_file, capsys):
+        """A missing file, or a directory where a file belongs, is an error, not a traceback."""
+        for argv in [
+            ("report", "--in", tmp_path / "ghost.json", "--format", "csv", "--out", tmp_path / "o"),
+            ("report", "--in", tmp_path, "--format", "csv", "--out", tmp_path / "o"),
+            ("simulate", "--config", tmp_path),
+            ("simulate", "--config", config_file, "--out", tmp_path),
+            ("generate", "--config", config_file, "--out", tmp_path),
+            ("regall", "--history", tmp_path, "--prev", 1, "--next", 2),
+            ("regall", "--history", history_file, "--prev", 1, "--next", 2, "--out", tmp_path),
+            ("trace", "record", "--history", history_file, "--strategy", "retest-all",
+             "--out", tmp_path),
+        ]:
+            assert run_cli(*argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 # 5000 digits: over CPython's default int-string limit of 4300.
@@ -739,6 +754,17 @@ def _recorded_trace():
         return json.loads(trace.read_text())
 
 
+def _record_repeating_its_first_id():
+    """The path and value of a record whose schedule ends with its first id again.
+
+    The budget is lifted to ``inf`` so that the repeat, not its cost, is what
+    replay meets.
+    """
+    n, row = next((n, r) for n, r in enumerate(_recorded_trace()["tuples"]) if r["schedule"])
+    schedule = [*row["schedule"], row["schedule"][0]]
+    return ("tuples", n), {**row, "delta_tau": "inf", "schedule": schedule}
+
+
 def _assert_clean_exit(code, err):
     assert code in (0, 1)
     if code == 1:
@@ -804,6 +830,7 @@ class TestFileBoundaryFuzz:
             )
 
     @given(st.sampled_from(list(_paths(_recorded_trace()))), st.sampled_from(FUZZ_VALUES))
+    @example(*_record_repeating_its_first_id())
     @settings(max_examples=150, deadline=None)
     def test_mutated_trace_through_trace_replay(self, path, value):
         with tempfile.TemporaryDirectory() as tmp:

@@ -190,7 +190,7 @@ class TestRowSharing:
         builds = bundle.chain.builds
         objects = {
             "tests": [t for b in builds for t in b.tests],
-            "stories": [s for b in builds for s in b.specs.stories],
+            "stories": [s for b in builds for s in b.specs],
         }
         for kind, parsed in objects.items():
             rows = [r for b in HISTORY["builds"] for r in b[kind]]
@@ -224,7 +224,7 @@ class TestRowSharing:
         except ReferentialIntegrityError:
             return  # a renamed test that the behaviour table does not cover
         b = bundle.chain.builds[n]
-        parsed = b.tests if kind == "tests" else b.specs.stories
+        parsed = b.tests if kind == "tests" else b.specs
         (obj,) = [o for o in parsed if o.id == row["id"]]
         assert repr(getattr(obj, field)) == repr(value)
 

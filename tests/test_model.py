@@ -14,7 +14,6 @@ from regsched import (
     Region,
     Rtw,
     ScenarioConfig,
-    SpecSet,
     TestCase,
     Transition,
     TransitionKind,
@@ -60,10 +59,6 @@ class TestBasicTypes:
         with pytest.raises(ValueError):
             UserStory(id="s1", bv=-1, sp=2)
 
-    def test_spec_set_rejects_duplicate_story_ids(self):
-        with pytest.raises(ValueError):
-            SpecSet(frozenset({story("s1", bv=1), story("s1", bv=2)}))
-
     def test_program_execution_requires_behavior_entry(self):
         program = ProgramVersion(1, {"a": "ok"})
         assert program.execute("a") == "ok"
@@ -89,18 +84,20 @@ class TestCandidateSet:
         b1, b2 = build(1, left), build(2, right)
         assert {t.id for t in ordered_candidates(b1, b2)} == expected == {"b", "c"}
 
-    def test_duplicate_ids_raise(self):
-        dupes = frozenset(
-            {tc("a", exectime=1), TestCase("a", "other", "other", 2, 0)}
-        )
-        with pytest.raises(MalformedBuildError, match="build 1 has duplicate test id 'a'"):
-            Build(
-                index=1,
-                program=ProgramVersion(1, {"a": "ok"}),
-                specs=SpecSet(frozenset()),
-                tests=dupes,
-                ready_at=0,
-            )
+    @pytest.mark.parametrize(
+        "field, dupes, message",
+        [
+            ("tests", {tc("a", exectime=1), TestCase("a", "other", "other", 2, 0)},
+             "build 1 has duplicate test id 'a'"),
+            ("specs", {story("s1", bv=1), story("s1", bv=2)},
+             "build 1 has duplicate story id 's1'"),
+        ],
+        ids=["test-id", "story-id"],
+    )
+    def test_duplicate_ids_raise(self, field, dupes, message):
+        fields = {"specs": frozenset(), "tests": frozenset(), field: frozenset(dupes)}
+        with pytest.raises(MalformedBuildError, match=message):
+            Build(index=1, program=ProgramVersion(1, {"a": "ok"}), ready_at=0, **fields)
 
     def test_returns_next_build_instances(self):
         b1 = build(1, [tc("a", exectime=1)])

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import DIVERGED, build, run_tests_oracle, story, tc, two_builds
-from regsched import RegAllReport, Rtw, Schedule, SpecSet, Verdict, failed_ids, reg_all, run_tests
+from regsched import RegAllReport, Rtw, Schedule, Verdict, failed_ids, reg_all, run_tests
 from regsched.errors import BoundedWindowError, UndefinedExecutionError
 
 UNBOUNDED = Rtw.unbounded()
@@ -219,18 +219,18 @@ def python_calls(run) -> int:
 
 
 def scenario_calls(n: int) -> dict[str, int]:
-    """Python frames per scenario-path call on ``n`` shared tests, every third diverging."""
+    """Python frames per scenario-path call on ``n`` tests (every third diverging) and stories."""
     tests = [tc(f"t{i:03d}") for i in range(n)]
-    b1, b2 = two_builds(tests, diverge=[t.id for t in tests[::3]])
+    stories = [story(f"s{i:03d}") for i in range(n)]
+    b1, b2 = two_builds(tests, diverge=[t.id for t in tests[::3]], stories=stories)
     ids = [t.id for t in tests]
     verdicts = run_tests(b1, b2, ids)
-    specs = SpecSet(frozenset(story(f"s{i:03d}") for i in range(n)))
     durations = {t.id: t.duration for t in tests}
     runs = {
         "run_tests": lambda: run_tests(b1, b2, ids),
         "reg_all": lambda: reg_all(b1, b2, UNBOUNDED),
         "Build.test_ids": b2.test_ids,
-        "SpecSet.ids": specs.ids,
+        "Build.story_ids": b2.story_ids,
         "Schedule.from_ids": lambda: Schedule.from_ids(ids, durations),
         "failed_ids": lambda: failed_ids(verdicts),
     }
