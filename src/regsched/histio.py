@@ -274,10 +274,10 @@ def _parse_bundle(data: dict) -> HistoryBundle:
                 # A zero is not shared: 0.0 and -0.0 compare equal but print differently.
                 if key is not None and story.bv and story.sp:
                     story_rows[key] = story
-            if stories.setdefault(story.id, story) != story:
-                raise HistoryFormatError(
-                    f"{path}.stories[{m}].id: story {story.id!r} repeats with different values"
-                )
+            if story.id in stories:
+                what = "repeats" if stories[story.id] == story else "repeats with different values"
+                raise HistoryFormatError(f"{path}.stories[{m}].id: story {story.id!r} {what}")
+            stories[story.id] = story
         tests = []
         for m, trow in enumerate(_expect_list(row, "tests", path)):
             key, test = _shared_row(test_rows, trow)
@@ -293,6 +293,10 @@ def _parse_bundle(data: dict) -> HistoryBundle:
                 if key is not None:
                     test_rows[key] = test
             tests.append(test)
+        test_set = frozenset(tests)
+        if len(test_set) != len(tests):
+            m = next(m for m, test in enumerate(tests) if test in tests[:m])
+            raise HistoryFormatError(f"{path}.tests[{m}].id: test {tests[m].id!r} repeats")
         if pid not in behavior:
             raise ReferentialIntegrityError(f"{path}: program {pid} has no behavior entries")
         for t in tests:
@@ -309,7 +313,7 @@ def _parse_bundle(data: dict) -> HistoryBundle:
                 index=index,
                 program=programs[pid],
                 specs=frozenset(stories.values()),
-                tests=frozenset(tests),
+                tests=test_set,
                 ready_at=ready_at,
             )
         )

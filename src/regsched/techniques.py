@@ -9,7 +9,9 @@ The three classic responses to a budget too small for running everything:
 Exact engines exist for oracle-grade answers on small inputs; greedy
 engines are the practical default. Greedy minimize, and greedy prioritize
 for a metric with ``groups``, are the "additional" strategy of Rothermel
-et al. (TSE 2001). Requirement coverage is always
+et al. (TSE 2001). Exact prioritization takes a metric's ``best_order``,
+its own lexicographically first argmax, where it has one, and enumerates
+permutations only for a metric without it. Requirement coverage is always
 explicit data (a story id -> test ids map), never inferred.
 """
 
@@ -152,9 +154,11 @@ def rtp_prioritize(
 ) -> Schedule:
     """Order the candidate set to maximize the metric.
 
-    The exact engine enumerates all permutations (guard: 8 candidates)
-    and returns the argmax; ties keep the lexicographically-first order
-    because enumeration runs in lexicographic order and only strict
+    The exact engine (guard: 8 candidates) returns the argmax; ties keep
+    the lexicographically-first order. A metric with ``best_order`` finds
+    that order itself (APFD by a dynamic program over subsets), and one
+    ``evaluate`` call gives its value. For any other metric all
+    permutations are enumerated in lexicographic order, and only strict
     improvements replace the incumbent. The greedy engine repeatedly
     appends the test whose prefix scores highest, ties by id; for a metric
     with ``groups`` that is ``additional_greedy``, with no ``evaluate`` call.
@@ -171,13 +175,16 @@ def rtp_prioritize(
             raise EngineLimitError(
                 f"{len(ids)} candidates exceed the exact-prioritization guard of 8; use the greedy engine"
             )
-        best_order: tuple[str, ...] | None = None
-        best_value = float("-inf")
-        for perm in permutations(ids):
-            value = metric.evaluate(perm, ctx)
-            if value > best_value:
-                best_order, best_value = perm, value
-        assert best_order is not None
+        if metric.best_order is not None:
+            best_order = metric.best_order(ids, ctx)
+            best_value = metric.evaluate(best_order, ctx)
+        else:
+            best_order, best_value = None, float("-inf")
+            for perm in permutations(ids):
+                value = metric.evaluate(perm, ctx)
+                if value > best_value:
+                    best_order, best_value = perm, value
+            assert best_order is not None
         order, meta["value"] = list(best_order), best_value
     elif engine != "greedy":
         raise ConfigurationError(f"unknown engine {engine!r}", field="engine")

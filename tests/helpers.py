@@ -354,6 +354,16 @@ def rtp_greedy_oracle(candidates, metric, ctx) -> tuple[str, ...]:
     return tuple(order)
 
 
+def rtp_exact_oracle(candidates, metric, ctx) -> tuple[str, ...]:
+    """Exact prioritization by scoring every permutation of the sorted ids.
+
+    ``max`` keeps the first maximum, so ties go to the lexicographically
+    first order.
+    """
+    ids = sorted(t.id for t in candidates)
+    return max(permutations(ids), key=lambda order: metric.evaluate(order, ctx))
+
+
 def rtm_greedy_oracle(candidate_ids, coverage) -> frozenset[str]:
     """Greedy set cover: the candidate covering most uncovered stories, ties by id.
 

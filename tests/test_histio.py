@@ -198,6 +198,29 @@ class TestRowSharing:
             assert len(parsed) == len(rows) > len(distinct)
             assert len({id(o) for o in parsed}) == len(distinct)
 
+    @pytest.mark.parametrize("kind, noun", [("tests", "test"), ("stories", "story")])
+    def test_a_row_repeated_in_one_build_is_rejected_at_the_copy(self, kind, noun):
+        # Equal copies would collapse into one set member and not round-trip.
+        data = copy.deepcopy(HISTORY)
+        rows = data["builds"][0][kind]
+        rows.append(copy.deepcopy(rows[0]))
+        with pytest.raises(HistoryFormatError) as exc:
+            parse_history(data)
+        assert str(exc.value) == (
+            f"$.builds[0].{kind}[{len(rows) - 1}].id: {noun} {rows[0]['id']!r} repeats"
+        )
+
+    def test_a_story_repeated_with_other_values_is_rejected_at_the_copy(self):
+        data = copy.deepcopy(HISTORY)
+        rows = data["builds"][0]["stories"]
+        rows.append(dict(rows[0], bv=rows[0]["bv"] + 1))
+        with pytest.raises(HistoryFormatError) as exc:
+            parse_history(data)
+        assert str(exc.value) == (
+            f"$.builds[0].stories[{len(rows) - 1}].id: story {rows[0]['id']!r} "
+            "repeats with different values"
+        )
+
     @given(
         st.sampled_from(_later_copies()),
         st.sampled_from([True, 1.0, "1", [1], {}, None, "", -1, REMOVE]),

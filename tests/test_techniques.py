@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import min_cover_oracle, rtm_greedy_oracle, rtp_greedy_oracle, tc, two_builds
+from helpers import (
+    counted,
+    min_cover_oracle,
+    rtm_greedy_oracle,
+    rtp_exact_oracle,
+    rtp_greedy_oracle,
+    tc,
+    two_builds,
+)
+from test_cli_golden import CONFIG as GOLDEN_CONFIG
 from regsched import (
     MetricContext,
     QualityMetric,
@@ -15,7 +25,9 @@ from regsched import (
     apfd_metric,
     build_graph,
     feasible_prefix,
+    generate_chain,
     metric_by_name,
+    ordered_candidates,
     rtm_minimize,
     rtp_prioritize,
     rts_select,
@@ -23,9 +35,11 @@ from regsched import (
 from regsched.errors import (
     ConfigurationError,
     EngineLimitError,
+    RegschedError,
     UndefinedMetricError,
     UnsatisfiableRequirementError,
 )
+from regsched.simulate import scenario_eval_context
 from regsched.techniques import additional_greedy
 
 # Candidate ids, plus two detectors that are never candidates.
@@ -232,6 +246,66 @@ class TestPrioritize:
                 assert got.ids == oracle
                 assert got.total_cost == sum(t.duration for t in tests)
 
+    @given(
+        st.lists(st.sampled_from(POOL[:8]), unique=True, min_size=1, max_size=6),
+        st.lists(st.integers(0, 3), min_size=8, max_size=8),
+        GROUP_MAPS,
+        GROUP_MAPS,
+        st.sampled_from(["apfd", "fault-count", "coverage"]),
+    )
+    @example(["t0"], [1] * 8, {}, {}, "apfd")
+    @example(
+        # Eight candidates with overlapping detectors, a detector that is not
+        # a candidate and an empty detector set: 1200 orders tie for the best.
+        ["t7", "t3", "t0", "t5", "t1", "t6", "t2", "t4"],
+        [1, 0, 2, 3, 1, 1, 0, 2],
+        {
+            "g0": frozenset({"t0", "t1", "t2"}),
+            "g1": frozenset({"t2", "t3"}),
+            "g2": frozenset({"t3", "t4", "x0"}),
+            "g3": frozenset({"t5"}),
+            "g4": frozenset({"t5", "t6"}),
+            "g5": frozenset(),
+        },
+        {},
+        "apfd",
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exact_equals_the_permutation_oracle(self, ids, costs, faults, coverage, name):
+        # Each built-in metric finds its argmax without enumerating; the same
+        # scoring function without that hook is enumerated. Both must give
+        # the oracle's order, value and error, whatever the groups hold.
+        tests = [tc(i, exectime=cost, setup=0) for i, cost in zip(ids, costs)]
+        ctx = MetricContext(faults=faults, coverage=coverage)
+        builtin = metric_by_name(name)
+        oracle = outcome(lambda: rtp_exact_oracle(tests, builtin, ctx))
+        for metric in (builtin, QualityMetric(name, builtin.fn)):
+            got = outcome(lambda: rtp_prioritize(tests, metric, "exact", ctx=ctx))
+            if isinstance(oracle, str):
+                assert got == oracle
+            else:
+                assert got.ids == oracle
+                assert got.total_cost == sum(t.duration for t in tests)
+                value = builtin.evaluate(oracle, ctx)
+                assert got.meta == {"technique": "rtp-exact", "metric": name, "value": value}
+
+    @pytest.mark.parametrize("name", ["apfd", "fault-count", "coverage"])
+    def test_exact_scores_one_order_for_a_builtin_metric(self, name, monkeypatch):
+        tests = [tc(f"t{i}") for i in range(8)]
+        ctx = MetricContext(
+            faults={"f0": frozenset({"t1", "t5"}), "f1": frozenset({"t5", "t7"})},
+            coverage={"s0": frozenset({"t2", "t3"})},
+        )
+        calls = counted(monkeypatch, QualityMetric, "evaluate")
+        rtp_prioritize(tests, metric_by_name(name), "exact", ctx=ctx)
+        assert len(calls) <= 1
+
+    def test_exact_enumerates_every_order_for_a_metric_without_best_order(self, monkeypatch):
+        tests = [tc(f"t{i}") for i in range(8)]
+        calls = counted(monkeypatch, QualityMetric, "evaluate")
+        rtp_prioritize(tests, QualityMetric("flat", lambda order, ctx: 0.0), "exact")
+        assert len(calls) == math.factorial(8)
+
     def test_exact_guard_suggests_greedy(self):
         tests = [tc(f"t{i}") for i in range(9)]
         with pytest.raises(EngineLimitError, match="greedy"):
@@ -308,3 +382,35 @@ class TestScheduleUnderBudget:
         assert total == sum(durations[i] for i in kept) <= budget
         if len(kept) < len(ids):
             assert total + durations[ids[len(kept)]] > budget
+
+
+class TestExactGolden:
+    """Pinned output of exact prioritization on ``test_cli_golden``'s history.
+
+    For every consecutive build pair, each built-in metric orders the
+    pair's first 7 candidates; the transcript holds the ids, total cost
+    and meta, or the error. A change to the exact engine must keep every
+    byte, whichever way it finds the argmax.
+    """
+
+    DIGEST = "dcb0b270e3f83ea553905a07a791e50478da7acb2af4ce9513fb76150b634f49"
+
+    @staticmethod
+    def transcript() -> str:
+        bundle = generate_chain(GOLDEN_CONFIG)
+        eval_context = scenario_eval_context(bundle)
+        lines = []
+        for b_prev, b_next in bundle.chain.pairs():
+            candidates = ordered_candidates(b_prev, b_next)[:7]
+            ctx = eval_context(b_prev, b_next, (), ())
+            for name in ("apfd", "coverage", "fault-count"):
+                try:
+                    sched = rtp_prioritize(candidates, metric_by_name(name), "exact", ctx=ctx)
+                    got = f"{sched.ids!r} {sched.total_cost} {sched.meta!r}"
+                except RegschedError as exc:
+                    got = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{b_prev.index}->{b_next.index} {name} {got}\n")
+        return "".join(lines)
+
+    def test_exact_bytes_are_pinned(self):
+        assert hashlib.sha256(self.transcript().encode()).hexdigest() == self.DIGEST
