@@ -25,7 +25,6 @@ from .histio import (
     derive_execution_history,
     dump_history,
     dump_trace,
-    export_report,
     ingest_history,
     load_report,
     load_trace,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .errors import ConfigurationError, InvalidCostError, OracleLimitError
+from .errors import ConfigurationError, EngineLimitError, InvalidCostError
 from .model import TestCase
 
 
@@ -37,8 +37,8 @@ class Rtw:
             raise ValueError("window end precedes its start")
 
     @classmethod
-    def unbounded(cls, start: int = 0) -> "Rtw":
-        return cls(start, None)
+    def unbounded(cls) -> "Rtw":
+        return cls(0, None)
 
     @classmethod
     def of_budget(cls, budget: int | None) -> "Rtw":
@@ -154,19 +154,19 @@ def scope(candidates: Iterable[TestCase], window: Rtw) -> ScopeResult:
     return ScopeResult(count=len(chosen), witness=tuple(sorted(chosen)), total_cost=total)
 
 
-def scope_bruteforce(candidates: Iterable[TestCase], window: Rtw, limit: int = 20) -> ScopeResult:
+def scope_bruteforce(candidates: Iterable[TestCase], window: Rtw) -> ScopeResult:
     """Exhaustive oracle for :func:`scope`: enumerate every subset.
 
-    Guarded to ``limit`` candidates. Prefers higher cardinality, then
-    lower total cost, then the earliest subset in bitmask order over
-    id-sorted tests, so results are deterministic. Repeated ids and
-    zero-cost tests are rejected as in :func:`scope`.
+    Guarded to 20 candidates (``EngineLimitError`` beyond). Prefers
+    higher cardinality, then lower total cost, then the earliest subset
+    in bitmask order over id-sorted tests, so results are deterministic.
+    Repeated ids and zero-cost tests are rejected as in :func:`scope`.
     """
     durations = _priced(candidates)
     ids = sorted(durations)
     n = len(ids)
-    if n > limit:
-        raise OracleLimitError(f"{n} candidates exceed the enumeration guard of {limit}")
+    if n > 20:
+        raise EngineLimitError(f"{n} candidates exceed the enumeration guard of 20")
     costs = [durations[i] for i in ids]
     budget = window.budget()
 

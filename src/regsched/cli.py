@@ -51,15 +51,14 @@ def _parse_window(text: str) -> Rtw:
     return Rtw.of_budget(value)
 
 
-def _windows_arg(args, transitions: int) -> list[Rtw]:
-    if args.windows:
-        parts = [p.strip() for p in args.windows.split(",")]
-        if len(parts) != transitions:
-            raise ConfigurationError(
-                f"need {transitions} window values, got {len(parts)}", field="windows"
-            )
-        return [_parse_window(p) for p in parts]
-    return [_parse_window(args.window)] * transitions
+def _windows_arg(text: str, transitions: int) -> list[Rtw]:
+    """``--window``: one budget for every transition, or a comma list with one per transition."""
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) == 1:
+        return [_parse_window(parts[0])] * transitions
+    if len(parts) != transitions:
+        raise ConfigurationError(f"need one value or {transitions}, got {len(parts)}", field="window")
+    return [_parse_window(p) for p in parts]
 
 
 def _write(args, text: str) -> None:
@@ -181,7 +180,7 @@ def _strategy_run(args):
     """What ``trace record`` and ``trace check`` run: strategy, chain, windows, metric, context."""
     bundle = ingest_history(args.history)
     metric = metric_by_name(args.metric)
-    windows = _windows_arg(args, max(len(bundle.chain) - 1, 0))
+    windows = _windows_arg(args.window, max(len(bundle.chain) - 1, 0))
     params = {}
     if args.params:
         params = loads_json(args.params, lambda msg: ConfigurationError(msg, field="params"))
@@ -250,8 +249,8 @@ def _add_strategy_run_args(p: argparse.ArgumentParser, *, out_required: bool) ->
     p.add_argument("--params", help="strategy parameters as JSON")
     p.add_argument("--metric", default="apfd")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window", default="inf")
-    p.add_argument("--windows", help="comma-separated per-transition windows")
+    p.add_argument("--window", default="inf",
+                   help="budget or 'inf' for every transition, or a comma list of one each")
     p.add_argument("--out", required=out_required)
 
 

@@ -37,10 +37,6 @@ class DepGraph:
     class_deps: frozenset[Edge]
     test_links: frozenset[Edge]
 
-    @property
-    def nodes(self) -> frozenset[str]:
-        return self.classes | self.tests
-
     @cached_property
     def _upstream(self) -> dict[str, set[str]]:
         """Inverted edges: each node's predecessors, built once per graph."""

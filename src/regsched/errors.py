@@ -13,7 +13,7 @@ class RegschedError(Exception):
 
 
 class MalformedBuildError(RegschedError):
-    """A build's test set carries duplicate test ids."""
+    """A build holds two tests, or two stories, that share an id."""
 
 
 class InvalidClassificationError(RegschedError):
@@ -43,10 +43,6 @@ class InvalidCostError(RegschedError):
     """A test case whose total duration is not strictly positive."""
 
 
-class OracleLimitError(RegschedError):
-    """Input too large for an exhaustive-enumeration oracle."""
-
-
 class BoundedWindowError(RegschedError):
     """An operation defined only for unbounded windows got a bounded one."""
 
@@ -64,7 +60,7 @@ class UnsatisfiableRequirementError(RegschedError):
 
 
 class EngineLimitError(RegschedError):
-    """Input exceeds an exact engine's enumeration guard."""
+    """Input exceeds the enumeration guard of an exact engine or oracle."""
 
 
 class UndefinedMetricError(RegschedError):
@@ -116,7 +112,7 @@ def require_int(value: object, field: str) -> int:
 
 
 class HistoryFormatError(RegschedError):
-    """A history or trace file that does not conform to its schema."""
+    """A history, trace, report or config file that is not valid JSON or breaks its schema."""
 
 
 class ReferentialIntegrityError(RegschedError):

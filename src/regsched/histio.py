@@ -13,7 +13,8 @@ The history schema (``"schema": 1``) records a chain and its side data:
 A trace file holds ``tuples``, one record per build: index (1..n),
 program_id, spec_ids, test_ids, delta_tau (an integer >= 0 or ``"inf"``),
 q_value (a finite number or null) and a schedule drawn from test_ids. A
-report file holds a :class:`RunReport`'s rows and aggregates.
+report file holds a :class:`RunReport`'s rows and aggregates; it and
+:class:`HistoryBundle` are defined here, apart from the simulator.
 
 Validation of all three files names the JSON path of the offending
 field, with one set of ``_expect*`` checks. Builds repeat their story
@@ -37,11 +38,12 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .depgraph import ExecutionHistory, build_graph
+from .depgraph import DepGraph, ExecutionHistory, build_graph
 from .errors import HistoryFormatError, ReferentialIntegrityError, RegschedError
 from .model import (
     Build,
@@ -54,13 +56,28 @@ from .model import (
     ordered_candidates,
 )
 from .regall import run_tests
-from .simulate import HistoryBundle, RunReport, TransitionRow
 from .trace import Trace, TraceTuple
 
 SCHEMA_VERSION = 1
 
 
 # --- history files ---------------------------------------------------------
+
+
+@dataclass
+class HistoryBundle:
+    """A chain plus the side data a run needs.
+
+    ``faults`` maps a fault id to its detecting tests; ``fault_births``
+    records the build index where each fault first manifests as an
+    outcome divergence.
+    """
+
+    chain: BuildChain
+    graph: DepGraph
+    coverage: dict[str, frozenset[str]]
+    faults: dict[str, frozenset[str]]
+    fault_births: dict[str, int]
 
 
 def serialize_history(bundle: HistoryBundle) -> dict:
@@ -499,6 +516,35 @@ def _is_table(rows: list | tuple) -> bool:
 
 # --- run reports -----------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class TransitionRow:
+    """One transition's outcome in a scenario run."""
+
+    build_index: int
+    transition: str
+    candidate_count: int
+    schedule: tuple[str, ...]
+    total_cost: int
+    q_value: float | None
+    failed: tuple[str, ...]
+    undetected_faults: tuple[str, ...]
+    regall_match: bool | None
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """Per-transition rows plus whole-run aggregates."""
+
+    seed: int
+    strategy: str
+    metric: str
+    rows: tuple[TransitionRow, ...]
+    mean_q: float | None
+    total_cost: int
+    fault_recall: float | None
+
+
 REPORT_COLUMNS = (
     "build_index",
     "transition",
@@ -607,11 +653,6 @@ def report_text(report: RunReport, fmt: str) -> str:
     if fmt == "csv":
         return report_to_csv(report)
     raise HistoryFormatError(f"unknown report format {fmt!r}")
-
-
-def export_report(report: RunReport, fmt: str, path: str | Path) -> None:
-    """Write a report's :func:`report_text` to ``path``."""
-    Path(path).write_text(report_text(report, fmt))
 
 
 def load_report(path: str | Path) -> RunReport:

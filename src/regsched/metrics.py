@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, UndefinedMetricError
-from .regall import Verdict, failed_ids
 
 
 @dataclass(frozen=True)
@@ -36,11 +35,6 @@ class MetricContext:
     def from_failures(cls, test_ids: Iterable[str]) -> "MetricContext":
         """One fault ``fail:<id>`` per failed test, detected by that test alone."""
         return cls(faults={f"fail:{t}": frozenset({t}) for t in test_ids})
-
-    @classmethod
-    def from_verdicts(cls, verdicts: Sequence[Verdict]) -> "MetricContext":
-        """:meth:`from_failures` over the inconsistent tests, in verdict order."""
-        return cls.from_failures(failed_ids(verdicts))
 
 
 def first_detection_positions(

@@ -348,16 +348,12 @@ def diverged_tests(b_prev: Build, b_next: Build) -> frozenset[str]:
     )
 
 
-def make_release(
-    chain: BuildChain,
-    iteration_indices: Iterable[int],
-    release_id: str | None = None,
-) -> Release:
+def make_release(chain: BuildChain, iteration_indices: Iterable[int]) -> Release:
     """Designate a release from a contiguous run of whole iterations.
 
     The delivered build is the last build of the last iteration in the
     range (the conventional CI reading of "the outcome of those
-    iterations").
+    iterations"), and the release id is ``r`` plus that iteration's index.
     """
     indices = sorted(set(iteration_indices))
     if not indices:
@@ -370,5 +366,4 @@ def make_release(
             raise InvalidRangeError(f"unknown iteration index {idx}")
     last = known[indices[-1]]
     build = chain.build(last.last_build)
-    rid = release_id if release_id is not None else f"r{indices[-1]}"
-    return Release(id=rid, source_iterations=tuple(indices), build=build)
+    return Release(id=f"r{indices[-1]}", source_iterations=tuple(indices), build=build)

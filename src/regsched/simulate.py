@@ -26,8 +26,9 @@ from statistics import mean
 from typing import Mapping, Sequence
 
 from .budget import Rtw
-from .depgraph import DepGraph, build_graph
+from .depgraph import build_graph
 from .errors import ConfigurationError, require_int
+from .histio import HistoryBundle, RunReport, TransitionRow
 from .metrics import MetricContext, metric_by_name
 from .model import (
     Build,
@@ -68,7 +69,10 @@ def _is_number(value: object) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a scenario run depends on, seed included."""
+    """Everything a scenario run depends on, seed included.
+
+    ``window_value`` is for the ``fixed`` policy only, ``window_values`` for ``list`` only.
+    """
 
     seed: int
     n_builds: int = 10
@@ -114,19 +118,22 @@ class ScenarioConfig:
                 f"unknown policy {self.window_policy!r}; known: {WINDOW_POLICIES}",
                 field="window_policy",
             )
-        if self.window_value is not None:
-            require_int(self.window_value, "window_value")
+        for name, policy in (("window_value", "fixed"), ("window_values", "list")):
+            if getattr(self, name) is not None and self.window_policy != policy:
+                raise ConfigurationError(
+                    f"the {self.window_policy!r} policy does not read it", field=name
+                )
         if self.window_policy == "fixed":
-            if self.window_value is None or self.window_value < 0:
+            if self.window_value is None or require_int(self.window_value, "window_value") < 0:
                 raise ConfigurationError(
                     "fixed policy needs a non-negative window_value", field="window_value"
                 )
-        for v in self.window_values or ():
-            if v is not None and require_int(v, "window_values") < 0:
-                raise ConfigurationError(
-                    "window values must be non-negative or null", field="window_values"
-                )
         if self.window_policy == "list":
+            for v in self.window_values or ():
+                if v is not None and require_int(v, "window_values") < 0:
+                    raise ConfigurationError(
+                        "window values must be non-negative or null", field="window_values"
+                    )
             if self.window_values is None or len(self.window_values) != self.n_builds - 1:
                 raise ConfigurationError(
                     "list policy needs one value per transition", field="window_values"
@@ -164,22 +171,6 @@ class ScenarioConfig:
                 raise ConfigurationError("must be a list", field="window_values")
             kwargs["window_values"] = tuple(kwargs["window_values"])
         return cls(**kwargs)  # type: ignore[arg-type]
-
-
-@dataclass
-class HistoryBundle:
-    """A chain plus the side data a run needs.
-
-    ``faults`` maps a fault id to its detecting tests; ``fault_births``
-    records the build index where each fault first manifests as an
-    outcome divergence.
-    """
-
-    chain: BuildChain
-    graph: DepGraph
-    coverage: dict[str, frozenset[str]]
-    faults: dict[str, frozenset[str]]
-    fault_births: dict[str, int]
 
 
 def _sample_kind(rng: random.Random, mix: Mapping[TransitionKind, float]) -> TransitionKind:
@@ -412,34 +403,6 @@ def scenario_eval_context(bundle: HistoryBundle):
         return last[2]
 
     return build_ctx
-
-
-@dataclass(frozen=True)
-class TransitionRow:
-    """One transition's outcome in a scenario run."""
-
-    build_index: int
-    transition: str
-    candidate_count: int
-    schedule: tuple[str, ...]
-    total_cost: int
-    q_value: float | None
-    failed: tuple[str, ...]
-    undetected_faults: tuple[str, ...]
-    regall_match: bool | None
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Per-transition rows plus whole-run aggregates."""
-
-    seed: int
-    strategy: str
-    metric: str
-    rows: tuple[TransitionRow, ...]
-    mean_q: float | None
-    total_cost: int
-    fault_recall: float | None
 
 
 def _row(

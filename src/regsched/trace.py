@@ -43,7 +43,7 @@ from .errors import (
 )
 from .metrics import MetricContext, QualityMetric
 from .model import Build, BuildChain, TestCase, ordered_candidates
-from .regall import Verdict, run_tests
+from .regall import Verdict, failed_ids, run_tests
 
 # Builds an evaluation context for scoring what actually ran.
 EvalContext = Callable[[Build, Build, Sequence[str], Sequence[Verdict]], MetricContext]
@@ -140,7 +140,7 @@ class Trace:
 def _default_eval_context(
     b_prev: Build, b_next: Build, executed: Sequence[str], verdicts: Sequence[Verdict]
 ) -> MetricContext:
-    return MetricContext.from_verdicts(tuple(verdicts))
+    return MetricContext.from_failures(failed_ids(verdicts))
 
 
 def _quality(metric: QualityMetric, ids: Sequence[str], ctx: MetricContext) -> float | None:

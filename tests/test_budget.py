@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import feasible_prefix_oracle, tc
 from regsched import Rtw, Schedule, feasible_prefix, scope, scope_bruteforce
 from regsched.budget import durations_by_id
-from regsched.errors import ConfigurationError, InvalidCostError, OracleLimitError
+from regsched.errors import ConfigurationError, EngineLimitError, InvalidCostError
 
 costs_strategy = st.lists(st.integers(1, 20), min_size=0, max_size=8)
 
@@ -100,7 +100,8 @@ class TestScopeBruteforce:
         assert scope_bruteforce(suite([10]), Rtw.of_budget(9)).count == 0
 
     def test_enumeration_guard(self):
-        with pytest.raises(OracleLimitError):
+        assert scope_bruteforce(suite([1] * 20), Rtw.of_budget(5)).count == 5
+        with pytest.raises(EngineLimitError, match="21 candidates exceed the enumeration guard of 20"):
             scope_bruteforce(suite([1] * 21), Rtw.of_budget(5))
 
     @pytest.mark.parametrize(

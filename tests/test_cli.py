@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -167,6 +168,25 @@ class TestSimulate:
         assert err.startswith(f"error: {field}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"window_value": 40}, "window_value"),
+            ({"window_policy": "fixed", "window_value": 40, "window_values": [40] * 7},
+             "window_values"),
+        ],
+        ids=["value-under-nightly", "values-under-fixed"],
+    )
+    def test_window_field_its_policy_ignores_fails_cleanly(
+        self, config_file, capsys, changes, field
+    ):
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), **changes}))
+        code = run_cli("simulate", "--config", config_file)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field}: the ")
+        assert "policy does not read it" in err
+
     def test_config_not_an_object_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")
@@ -307,7 +327,7 @@ class TestTraceCommands:
         assert (
             run_cli(
                 "trace", "record", "--history", history_file, "--strategy", "retest-all",
-                "--windows", windows, "--out", trace_path,
+                "--window", windows, "--out", trace_path,
             )
             == 0
         )
@@ -563,7 +583,7 @@ class TestTraceCommands:
              "window"),
             (("trace", "check", "--strategy", "retecs", "--window", -3), "window"),
             (("trace", "record", "--strategy", "retest-all",
-              "--windows", ",".join(["40"] * 6 + ["-1"]), "--out", "t.json"), "window"),
+              "--window", ",".join(["40"] * 6 + ["-1"]), "--out", "t.json"), "window"),
             (("select", "--prev", 1, "--next", 2, "--selector", "random-k", "--k", -1), "k"),
         ],
         ids=["schedule", "regall", "trace-record", "trace-check", "windows-entry", "select-k"],
@@ -580,14 +600,50 @@ class TestTraceCommands:
         assert "Traceback" not in err
 
     def test_window_count_mismatch_fails(self, history_file, tmp_path, capsys):
-        assert (
-            run_cli(
-                "trace", "record", "--history", history_file, "--strategy", "retest-all",
-                "--windows", "1,2", "--out", tmp_path / "t.json",
-            )
-            == 1
-        )
-        assert "window" in capsys.readouterr().err
+        for verb in ("record", "check"):
+            for count in (2, 8):
+                code = run_cli(
+                    "trace", verb, "--history", history_file, "--strategy", "retest-all",
+                    "--window", ",".join(["40"] * count), "--out", tmp_path / "t.json",
+                )
+                assert code == 1
+                err = capsys.readouterr().err
+                assert err == f"error: window: need one value or 7, got {count}\n"
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("n_builds", [1, 2, 5])
+    def test_one_window_value_covers_any_number_of_transitions(self, tmp_path, n_builds):
+        history, trace_path = tmp_path / "h.json", tmp_path / "t.json"
+        dump_history(generate_chain(ScenarioConfig(seed=3, n_builds=n_builds)), history)
+        assert run_cli(
+            "trace", "record", "--history", history, "--strategy", "retest-all",
+            "--window", "40", "--out", trace_path,
+        ) == 0
+        assert [t.delta_tau for t in load_trace(trace_path).tuples] == [0] + [40] * (n_builds - 1)
+
+    @pytest.mark.parametrize(
+        "strategy, window, digest",
+        [
+            ("retecs", "40", "c63787e98ca242ecf1fb6030fc503aa0005a0b656d650cc5921739cecb8270e8"),
+            ("depgraph", "40", "6781fab42221750a8072227b958e6c06623d57ddb05d26a7a0d2873a29581527"),
+            ("retecs", "30,inf,40,0,25,inf,60",
+             "ea3f410d316d821f30d6fd8e6521e5496b1841d0e3d15972e08b9c12b3c5f5ed"),
+            ("retest-all", "30, 30,30,30,30,30,inf",
+             "6fc109407de34013740da62f9ab729f81e5d3d4030a7f05e34d53a27fd628c08"),
+        ],
+        ids=["retecs-one", "depgraph-one", "retecs-list", "retest-all-list"],
+    )
+    def test_window_forms_keep_the_recorded_bytes(
+        self, history_file, tmp_path, strategy, window, digest
+    ):
+        # Digests of the trace files that ``--window`` (one value) and the
+        # former ``--windows`` (a comma list) wrote for these runs.
+        trace_path = tmp_path / "t.json"
+        assert run_cli(
+            "trace", "record", "--history", history_file, "--strategy", strategy,
+            "--window", window, "--out", trace_path,
+        ) == 0
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
 
     def test_window_count_on_an_empty_history(self, tmp_path, capsys):
         history = tmp_path / "empty.json"
@@ -597,12 +653,12 @@ class TestTraceCommands:
                  "faults": []}
             )
         )
-        code = run_cli(
-            "trace", "record", "--history", history, "--strategy", "retest-all",
-            "--windows", "5", "--out", tmp_path / "t.json",
-        )
-        assert code == 1
-        assert "need 0 window values, got 1" in capsys.readouterr().err
+        argv = ("trace", "record", "--history", history, "--strategy", "retest-all", "--out",
+                tmp_path / "t.json")
+        assert run_cli(*argv, "--window", "5") == 0
+        assert len(load_trace(tmp_path / "t.json")) == 0
+        assert run_cli(*argv, "--window", "5,5") == 1
+        assert capsys.readouterr().err == "error: window: need one value or 0, got 2\n"
 
 
 class TestReportCommand:

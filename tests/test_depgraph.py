@@ -48,12 +48,12 @@ def random_graph(rng, max_nodes=12):
 class TestBuildGraph:
     def test_no_edges_leaves_isolated_nodes_and_selects_nothing(self):
         g = build_graph(["c1"], ["t1"], [], [])
-        assert g.nodes == {"c1", "t1"}
+        assert (g.classes, g.tests) == ({"c1"}, {"t1"})
         assert affected_tests(g, {"c1"}, {"t1"}) == frozenset()
 
     def test_minimal_chain(self):
         g = build_graph(["c", "d"], ["t"], [("c", "d")], [("t", "c")])
-        assert len(g.nodes) == 3
+        assert len(g.classes | g.tests) == 3
 
     def test_duplicate_edges_collapse(self):
         # Oracle: the deduplicated edge set.

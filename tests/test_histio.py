@@ -25,18 +25,18 @@ from regsched.histio import (
     dump_trace,
     dumps_canonical,
     encode_indented,
-    export_report,
     load_report,
     load_trace,
     report_from_dict,
+    report_text,
     report_to_csv,
     report_to_dict,
     trace_to_dict,
     REPORT_COLUMNS,
+    RunReport,
 )
 from regsched.errors import HistoryFormatError, ReferentialIntegrityError
 from regsched.metrics import fault_count_metric
-from regsched.simulate import RunReport
 
 
 def minimal_history():
@@ -347,15 +347,11 @@ class TestReportExport:
     def test_report_file_round_trip(self, tmp_path):
         report = self.sample_report()
         path = tmp_path / "report.json"
-        export_report(report, "json", path)
+        path.write_text(report_text(report, "json"))
         assert load_report(path) == report
 
-    def test_export_is_byte_deterministic(self, tmp_path):
-        report = self.sample_report()
-        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_report(report, "csv", first)
-        export_report(report, "csv", second)
-        assert first.read_bytes() == second.read_bytes()
+    def test_export_is_byte_deterministic(self):
+        assert report_text(self.sample_report(), "csv") == report_text(self.sample_report(), "csv")
 
     def test_empty_report_gives_header_only_csv(self):
         empty = RunReport(
@@ -370,9 +366,9 @@ class TestReportExport:
         text = report_to_csv(self.sample_report())
         assert text.splitlines()[0] == ",".join(REPORT_COLUMNS)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(HistoryFormatError):
-            export_report(self.sample_report(), "xml", tmp_path / "r.xml")
+    def test_unknown_format_rejected(self):
+        with pytest.raises(HistoryFormatError, match="unknown report format 'xml'"):
+            report_text(self.sample_report(), "xml")
 
 
 class TestTraceFiles:

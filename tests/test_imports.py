@@ -23,12 +23,27 @@ def sibling_imports(path: Path) -> set[str]:
     return found
 
 
-def test_module_graph_has_no_cycle():
-    graph = {
+def module_graph() -> dict[str, set[str]]:
+    """Each package module, but ``__init__``, mapped to its sibling imports."""
+    return {
         path.stem: sibling_imports(path)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
+
+
+def transitive_imports(module: str) -> set[str]:
+    """The package modules that importing ``module`` loads, directly or through another."""
+    graph, seen, todo = module_graph(), set(), [module]
+    while todo:
+        for name in graph[todo.pop()] - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_module_graph_has_no_cycle():
+    graph = module_graph()
     # The parse sees real edges: strategies plan from trace's Transition.
     assert "trace" in graph["strategies"]
     assert set().union(*graph.values()) <= set(graph)
@@ -40,7 +55,11 @@ def test_module_graph_has_no_cycle():
 
 @pytest.mark.parametrize("module", ["depgraph", "histio"])
 def test_failure_log_readers_do_not_import_the_adaptive_scheduler(module):
-    assert "retecs" not in sibling_imports(PACKAGE / f"{module}.py")
+    assert not transitive_imports(module) & {"simulate", "strategies", "retecs"}
+
+
+def test_metrics_imports_no_sibling_but_errors():
+    assert transitive_imports("metrics") == {"errors"}
 
 
 def unused_imports(path: Path) -> list[str]:

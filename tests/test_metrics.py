@@ -10,6 +10,7 @@ from regsched import (
     Verdict,
     apfd,
     coverage_metric,
+    failed_ids,
     fault_count_metric,
     first_detection_positions,
     metric_by_name,
@@ -134,16 +135,16 @@ class TestBuiltinMetrics:
     def test_context_from_verdicts_marks_failures_as_faults(self):
         b1, b2 = two_builds(shared=[tc("a"), tc("b")], diverge=["b"])
         verdicts = run_tests(b1, b2, ["a", "b"])
-        ctx = MetricContext.from_verdicts(verdicts)
+        ctx = MetricContext.from_failures(failed_ids(verdicts))
         assert set(ctx.faults) == {"fail:b"}
         assert ctx.faults["fail:b"] == frozenset({"b"})
 
     @given(st.lists(st.tuples(st.sampled_from("abcdef"), st.booleans()), max_size=8,
                     unique_by=lambda row: row[0]))
     @settings(max_examples=100, deadline=None)
-    def test_from_failures_equals_from_verdicts_on_the_same_failures(self, rows):
+    def test_from_failures_keeps_the_failed_verdicts_in_order(self, rows):
         verdicts = [Verdict(t, "ok", "ok" if passed else "broke") for t, passed in rows]
         failed = [t for t, passed in rows if not passed]
-        ctx = MetricContext.from_failures(failed)
-        assert ctx == MetricContext.from_verdicts(verdicts)
+        ctx = MetricContext.from_failures(failed_ids(verdicts))
         assert list(ctx.faults) == [f"fail:{t}" for t in failed]
+        assert all(ctx.faults[f"fail:{t}"] == {t} for t in failed)

@@ -18,7 +18,7 @@ def test_command_line_block_runs_in_order(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     Path("scenario.json").write_text(config)
     lines = [line for line in commands.splitlines() if line.startswith("regsched ")]
-    assert len(lines) == 11
+    assert len(lines) == 12
     for line in lines:
         code = main(shlex.split(line)[1:])
         assert code == 0, f"{line}\n{capsys.readouterr().err}"

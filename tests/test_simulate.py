@@ -57,6 +57,33 @@ class TestConfigValidation:
                 seed=1, n_builds=5, window_policy="list", window_values=(1, 2)
             )
 
+    @pytest.mark.parametrize(
+        "policy, extra, field",
+        [
+            ("nightly", {"window_value": 40}, "window_value"),
+            ("unbounded", {"window_value": 0}, "window_value"),
+            ("list", {"window_value": 40, "window_values": [1, 2, 3, 4]}, "window_value"),
+            ("sprint", {"window_values": [1, 2, 3, 4]}, "window_values"),
+            ("fixed", {"window_value": 40, "window_values": [1, 2, 3, 4]}, "window_values"),
+        ],
+    )
+    def test_window_field_the_policy_ignores_is_rejected(self, policy, extra, field):
+        data = {"seed": 1, "n_builds": 5, "window_policy": policy, **extra}
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+        for make in (lambda: ScenarioConfig.from_dict(data), lambda: ScenarioConfig(**kwargs)):
+            with pytest.raises(ConfigurationError) as exc:
+                make()
+            assert exc.value.field == field
+            assert str(exc.value) == f"{field}: the {policy!r} policy does not read it"
+
+    @pytest.mark.parametrize("policy", simulate_module.WINDOW_POLICIES)
+    def test_unset_window_fields_pass_under_every_policy(self, policy):
+        data = {"seed": 1, "n_builds": 3, "window_policy": policy,
+                "window_value": None, "window_values": None}
+        data.update({"fixed": {"window_value": 0}, "list": {"window_values": [1, None]}}
+                    .get(policy, {}))
+        assert ScenarioConfig.from_dict(data).window_policy == policy
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="window_policy"):
             ScenarioConfig(seed=1, window_policy="lunar")
@@ -88,14 +115,18 @@ class TestConfigValidation:
             "n_classes": 5,
             "transition_mix": {"periodic-build": 0.25, "defect-fix": 0.75},
             "window_policy": "list",
-            "window_value": 9,
             "window_values": [4, None, 7],
             "fault_rate": 0.5,
             "strategy": "random-k",
             "strategy_params": {"k": 2},
             "metric": "coverage",
         }
-        assert set(data) == {f.name for f in fields(ScenarioConfig)}
+        # A policy reads one window field; fixed reads the one list ignores.
+        fixed = {"seed": 11, "window_policy": "fixed", "window_value": 9}
+        assert set(data) | set(fixed) == {f.name for f in fields(ScenarioConfig)}
+        assert ScenarioConfig.from_dict(fixed) == ScenarioConfig(
+            seed=11, window_policy="fixed", window_value=9
+        )
         assert ScenarioConfig.from_dict(data) == ScenarioConfig(
             seed=11,
             n_builds=4,
@@ -104,7 +135,6 @@ class TestConfigValidation:
             n_classes=5,
             transition_mix={TransitionKind.PERIODIC_BUILD: 0.25, TransitionKind.DEFECT_FIX: 0.75},
             window_policy="list",
-            window_value=9,
             window_values=(4, None, 7),
             fault_rate=0.5,
             strategy="random-k",
@@ -549,7 +579,7 @@ class TestRegAllOncePerPair:
     def test_pairs_with_no_unbounded_window_run_no_reg_all(self, monkeypatch):
         base = ScenarioConfig(seed=1, n_tests=30, n_builds=9, window_policy="fixed", window_value=40)
         gaps = (None, 40, 40, None, 40, 40, 40, None)
-        cfgs = [base, replace(base, window_policy="list", window_values=gaps)]
+        cfgs = [base, replace(base, window_policy="list", window_value=None, window_values=gaps)]
         calls = counted(monkeypatch, simulate_module, "reg_all")
         bounded, listed = run_many(cfgs)
         assert len(calls) == gaps.count(None)

@@ -18,6 +18,7 @@ from regsched import (
     ScenarioConfig,
     apfd_metric,
     check_completeness,
+    failed_ids,
     fault_count_metric,
     generate_chain,
     make_strategy,
@@ -146,7 +147,7 @@ class TestRecord:
             sched = direct.plan(transition)
             verdicts = run_tests(b_prev, b_next, sched.ids)
             try:
-                q = metric.evaluate(sched.ids, MetricContext.from_verdicts(verdicts))
+                q = metric.evaluate(sched.ids, MetricContext.from_failures(failed_ids(verdicts)))
             except UndefinedMetricError:
                 q = None
             direct.observe(TransitionStep(transition, sched, verdicts, q))
